@@ -1,7 +1,7 @@
 // Figure 11 reproduction: distributed TiDB across scale factors, served
 // by the real sharded engine (src/shard/) — N hybrid shard nodes behind
 // the single-node facade, hash routing, cross-shard 2PC, and per-shard
-// replication chains — instead of the retired flat-surcharge model.
+// replication chains.
 //
 // Expected shape (Section 6.5.2): compared to single-node TiDB the
 // distributed deployment has a *lower* maximum T throughput (the
@@ -15,8 +15,6 @@
 // engine can measure:
 //  - an N=1..16 shard-count sweep at SF10: max-T throughput must scale
 //    at least 3x from N=1 to N=8 (real scale-out, not a cost constant);
-//  - a surcharge-vs-sharded comparison at the paper's N=3 deployment
-//    (the legacy --dist-model=surcharge is kept exactly for this A/B);
 //  - a failover leg: chaos faults on every shard's replication chain
 //    must leave primaries untouched and standbys fully converged.
 
@@ -36,10 +34,10 @@ using namespace hattrick::bench;  // NOLINT
 
 namespace {
 
-BenchEnv MakeDistEnv(double sf, DistModel model, uint32_t shards,
+BenchEnv MakeDistEnv(double sf, uint32_t shards,
                      const FaultConfig& fault = {}) {
   return MakeEnv(EngineKind::kTidbDist, sf, PhysicalSchema::kSemiIndexes,
-                 fault, DefaultMergeMode(), model, shards);
+                 fault, DefaultMergeMode(), shards);
 }
 
 /// Pure-T saturation throughput (the grid graph's XT) without building
@@ -53,21 +51,6 @@ double MaxTThroughput(BenchEnv* env, int max_clients) {
         const double tps = runner(t, 0).tps;
         best = std::max(best, tps);
         return tps;
-      },
-      max_clients, 0.03);
-  return best;
-}
-
-/// Pure-A saturation throughput (XA), same shortcut.
-double MaxAThroughput(BenchEnv* env, int max_clients) {
-  const PointRunner runner =
-      MakeRunner(env->driver.get(), DefaultRunConfig());
-  double best = 0;
-  FindSaturation(
-      [&](int a) {
-        const double qps = runner(0, a).qps;
-        best = std::max(best, qps);
-        return qps;
       },
       max_clients, 0.03);
   return best;
@@ -122,7 +105,7 @@ int main() {
   for (const double sf : {1.0, 10.0, 100.0}) {
     const std::string label =
         "TiDB-Dist SF" + std::to_string(static_cast<int>(sf));
-    BenchEnv env = MakeDistEnv(sf, DistModel::kSharded, 3);
+    BenchEnv env = MakeDistEnv(sf, 3);
     const GridGraph grid = RunGrid(&env, label);
     PrintFrontierSummary(label, grid);
     PrintGridCsv(label, grid);
@@ -167,7 +150,7 @@ int main() {
   std::printf("shards,max_t_tps\n");
   double xt_n1 = 0, xt_n8 = 0;
   for (const uint32_t n : {1u, 2u, 3u, 4u, 6u, 8u, 12u, 16u}) {
-    BenchEnv env = MakeDistEnv(10.0, DistModel::kSharded, n);
+    BenchEnv env = MakeDistEnv(10.0, n);
     // Each simulated T-client claims one of the dataset's
     // kFreshnessTables FRESHNESS_j tables, so the sweep cannot exceed
     // that; past N~6 the curve is client-bound, not resource-bound.
@@ -185,30 +168,6 @@ int main() {
               xt_n1 > 0 ? xt_n8 / xt_n1 : 0.0);
 
   // ------------------------------------------------------------------
-  // Surcharge vs sharded at the paper's 3-node deployment: the legacy
-  // model charges a flat 800us/4x on every transaction; the sharded
-  // engine pays per coordinated participant. Both should land in the
-  // same regime (that is what validated the surcharge constants), with
-  // the sharded engine slightly ahead on single-shard-heavy mixes.
-  std::printf("\n=== dist-model comparison @ SF10, N=3 ===\n");
-  {
-    BenchEnv surcharge = MakeDistEnv(10.0, DistModel::kSurcharge, 3);
-    BenchEnv sharded = MakeDistEnv(10.0, DistModel::kSharded, 3);
-    const double sur_xt =
-        MaxTThroughput(&surcharge, static_cast<int>(kFreshnessTables));
-    const double sha_xt =
-        MaxTThroughput(&sharded, static_cast<int>(kFreshnessTables));
-    const double sur_xa = MaxAThroughput(&surcharge, 16);
-    const double sha_xa = MaxAThroughput(&sharded, 16);
-    std::printf("model,max_t_tps,max_a_qps\n");
-    std::printf("surcharge,%.0f,%.2f\n", sur_xt, sur_xa);
-    std::printf("sharded,%.0f,%.2f\n", sha_xt, sha_xa);
-    const double ratio = sur_xt > 0 ? sha_xt / sur_xt : 0.0;
-    std::printf("same regime (0.5x..2x):       %s (%.2fx)\n",
-                ratio >= 0.5 && ratio <= 2.0 ? "yes" : "NO", ratio);
-  }
-
-  // ------------------------------------------------------------------
   // Failover: chaos faults on every shard's replication chain. The
   // primaries never see faults (identical query answers), and after the
   // drain every standby has converged (zero lag, no sticky error).
@@ -220,9 +179,8 @@ int main() {
                   fault.status().ToString().c_str());
       return 1;
     }
-    BenchEnv clean = MakeDistEnv(1.0, DistModel::kSharded, 3);
-    BenchEnv faulted = MakeDistEnv(1.0, DistModel::kSharded, 3,
-                                   fault.value());
+    BenchEnv clean = MakeDistEnv(1.0, 3);
+    BenchEnv faulted = MakeDistEnv(1.0, 3, fault.value());
     ApplyTxnBatch(&clean, /*seed=*/123, /*txns=*/400);
     ApplyTxnBatch(&faulted, /*seed=*/123, /*txns=*/400);
 

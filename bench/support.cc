@@ -53,31 +53,6 @@ bool ParseEngineKind(const std::string& name, EngineKind* kind) {
   return true;
 }
 
-bool ParseDistModel(const std::string& name, DistModel* model) {
-  if (name == "surcharge") {
-    *model = DistModel::kSurcharge;
-  } else if (name == "sharded") {
-    *model = DistModel::kSharded;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-DistModel DefaultDistModel() {
-  const char* env = std::getenv("HATTRICK_DIST_MODEL");
-  if (env == nullptr || *env == '\0') return DistModel::kSharded;
-  DistModel model;
-  if (!ParseDistModel(env, &model)) {
-    std::fprintf(stderr,
-                 "unknown HATTRICK_DIST_MODEL '%s' (expected surcharge or "
-                 "sharded)\n",
-                 env);
-    std::abort();
-  }
-  return model;
-}
-
 uint32_t DefaultShards() {
   const char* env = std::getenv("HATTRICK_SHARDS");
   if (env == nullptr || *env == '\0') return 3;
@@ -108,8 +83,7 @@ EngineKind EngineKindFromNameOrDie(const std::string& name) {
 
 BenchEnv MakeEnv(EngineKind kind, double scale_factor,
                  PhysicalSchema physical, const FaultConfig& fault,
-                 MergeMode merge_mode, DistModel dist_model,
-                 uint32_t shards) {
+                 MergeMode merge_mode, uint32_t shards) {
   BenchEnv env;
   DatagenConfig datagen;
   datagen.scale_factor = scale_factor;
@@ -169,24 +143,16 @@ BenchEnv MakeEnv(EngineKind kind, double scale_factor,
       break;
     }
     case EngineKind::kTidbDist: {
-      if (dist_model == DistModel::kSharded) {
-        ShardedEngineConfig config;
-        config.name = "TiDB-Dist";
-        config.shards = shards;
-        config.seed = kDatagenSeed;
-        config.plan = MakeSsbShardPlan(kFreshnessTables);
-        config.node = TidbConfig();
-        config.node.merge_mode = merge_mode;
-        config.fault = fault;
-        env.engine = std::make_unique<ShardedEngine>(config);
-        setup = ShardedSimSetup(shards);
-      } else {
-        HybridEngineConfig config = TidbConfig();
-        config.name = "TiDB-Dist";
-        config.merge_mode = merge_mode;
-        env.engine = MakeHybridEngine(config);
-        setup = TidbDistSimSetup();
-      }
+      ShardedEngineConfig config;
+      config.name = "TiDB-Dist";
+      config.shards = shards;
+      config.seed = kDatagenSeed;
+      config.plan = MakeSsbShardPlan(kFreshnessTables);
+      config.node = TidbConfig();
+      config.node.merge_mode = merge_mode;
+      config.fault = fault;
+      env.engine = std::make_unique<ShardedEngine>(config);
+      setup = ShardedSimSetup(shards);
       break;
     }
   }

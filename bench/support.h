@@ -23,9 +23,10 @@ namespace bench {
 ///  - kPostgresSRRA: IsolatedEngine, remote_apply (Figure 8a).
 ///  - kSystemX:      HybridEngine, OCC serializable, one node.
 ///  - kTidb:         HybridEngine, snapshot isolation, one node.
-///  - kTidbDist:     distributed deployment — a real ShardedEngine by
-///                   default, or the legacy flat-surcharge HybridEngine
-///                   (see DistModel).
+///  - kTidbDist:     distributed TiDB — an N-shard ShardedEngine (hash
+///                   routing, 2PC, per-shard replication chains) on
+///                   ShardedSimSetup(N), which charges coordination
+///                   latency per participant via TxnOutcome::shards_touched.
 enum class EngineKind {
   kPostgres,
   kPostgresRC,
@@ -35,25 +36,6 @@ enum class EngineKind {
   kTidb,
   kTidbDist,
 };
-
-/// How kTidbDist models distribution:
-///  - kSharded (default): N-shard ShardedEngine (hash routing, 2PC,
-///    per-shard replication chains) on ShardedSimSetup(N) — coordination
-///    latency is charged per participant via TxnOutcome::shards_touched.
-///  - kSurcharge: the pre-sharding model — one HybridEngine with
-///    TidbDistSimSetup()'s flat per-transaction latency surcharge. Kept
-///    as a fallback and as the baseline fig11 compares against.
-enum class DistModel {
-  kSurcharge,
-  kSharded,
-};
-
-/// Parses "surcharge" / "sharded". Returns false on an unknown name.
-bool ParseDistModel(const std::string& name, DistModel* model);
-
-/// HATTRICK_DIST_MODEL environment override, else kSharded. Aborts with
-/// a one-line error on an unknown value.
-DistModel DefaultDistModel();
 
 /// HATTRICK_SHARDS environment override (strict positive integer; aborts
 /// loudly on junk), else 3 — the paper testbed's TiKV node count.
@@ -93,14 +75,12 @@ inline constexpr uint64_t kDatagenSeed = 42;
 /// replication channel and ignore it. `merge_mode` (default: the
 /// HATTRICK_MERGE_MODE environment override, else eager) selects the
 /// hybrid engines' delta-visibility protocol; the shared and isolated
-/// kinds have no column copy and ignore it. `dist_model` and `shards`
-/// apply only to kTidbDist (other kinds are single-node and ignore
-/// both); with kSharded, `fault` attaches to the per-shard replication
-/// chains instead.
+/// kinds have no column copy and ignore it. `shards` applies only to
+/// kTidbDist (other kinds are single-node and ignore it), where `fault`
+/// attaches to the per-shard replication chains instead.
 BenchEnv MakeEnv(EngineKind kind, double scale_factor,
                  PhysicalSchema physical, const FaultConfig& fault = {},
                  MergeMode merge_mode = DefaultMergeMode(),
-                 DistModel dist_model = DefaultDistModel(),
                  uint32_t shards = DefaultShards());
 
 /// Default measurement procedure for the figure benches. Execution mode

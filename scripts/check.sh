@@ -16,8 +16,7 @@
 #            whole-program lock-order cycle detection, pin/epoch
 #            protocol, determinism-by-type, exhaustive protocol
 #            switches. Needs only the compile database (configure, no
-#            build); uses libclang when installed and the built-in
-#            frontend otherwise, so it never skips
+#            build); pure python, so it never skips
 #   tidy     clang-tidy over src/ using the compile database; skipped
 #            with a notice when clang-tidy is not installed
 #   bench-smoke  bench_runner at smoke scale diffed against the
@@ -25,9 +24,7 @@
 #            scripts/bench_compare.py (perf-regression gate)
 #   contention-smoke  randomized commit-storm suite (commit_storm_test)
 #            under ThreadSanitizer in both merge modes (default and
-#            HATTRICK_MERGE_MODE=bitmap), plus a latch-protocol replay
-#            (HATTRICK_TXN_PROTOCOL=latch) so the lock-free MVCC path
-#            and its fallback stay in agreement under load
+#            HATTRICK_MERGE_MODE=bitmap)
 #   shard-smoke  full ctest suite with HATTRICK_SHARDS=4 (every
 #            tidb-dist construction goes through the 4-shard engine),
 #            plus the cross-shard 2PC storm (shard_test) under
@@ -137,14 +134,12 @@ if [[ "$RUN_CONTENTION_SMOKE" == 1 ]]; then
   cmake --build build-tsan -j "$JOBS" --target commit_storm_test
   # The storm suite hammers a hot key set from many threads; run it under
   # TSan in both hybrid-merge modes (the bitmap path appends delta
-  # versions from the commit tail) and once with the latch fallback
-  # protocol so both commit paths stay race-free and in agreement.
-  for mode in merge-eager merge-bitmap latch-protocol; do
+  # versions from the commit tail).
+  for mode in merge-eager merge-bitmap; do
     echo "== commit_storm_test (tsan, ${mode}) =="
     case "$mode" in
       merge-eager) ENV_VARS=() ;;
       merge-bitmap) ENV_VARS=(HATTRICK_MERGE_MODE=bitmap) ;;
-      latch-protocol) ENV_VARS=(HATTRICK_TXN_PROTOCOL=latch) ;;
     esac
     (cd build-tsan && \
         env "${ENV_VARS[@]}" \

@@ -56,24 +56,6 @@ SimSetup HybridSimSetup() {
   return setup;
 }
 
-SimSetup TidbDistSimSetup() {
-  SimSetup setup;
-  setup.t_cores = 24;  // 3 TiKV nodes
-  setup.a_cores = 16;  // 2 TiFlash nodes
-  setup.separate_pools = true;
-  setup.lock_hold_fraction = 0.25;
-  setup.cost.txn_fixed_us = 640.0;
-  // The surcharge model: distributed transactions pay a FLAT TCP/IP CPU
-  // overhead and network round trip (Section 6.5.2) regardless of how
-  // many shards each one actually touched. Retained as the fallback
-  // --dist-model=surcharge; the sharded model below replaces the flat
-  // 800us with a per-participant charge from real routing.
-  setup.cost.t_work_multiplier = 4.0;
-  setup.cost.txn_extra_latency_us = 800.0;
-  setup.has_maintenance = true;  // background folds (bitmap merge mode)
-  return setup;
-}
-
 SimSetup ShardedSimSetup(uint32_t shards) {
   if (shards < 1) shards = 1;
   SimSetup setup;

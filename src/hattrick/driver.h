@@ -122,12 +122,11 @@ struct SimSetup {
 SimSetup SharedSimSetup();    // PostgreSQL-like, one node
 SimSetup IsolatedSimSetup();  // PostgreSQL-SR-like, two nodes
 SimSetup HybridSimSetup();    // System-X / single-node TiDB
-SimSetup TidbDistSimSetup();  // distributed TiDB, flat-surcharge model
 /// Distributed TiDB with real sharding: N nodes' worth of cores, and the
 /// cross-shard coordination latency charged per participant through
-/// TxnOutcome::shards_touched instead of a flat surcharge. A one-node
-/// deployment still pays the distributed codepath's CPU cost (as a
-/// one-TiKV TiDB does), so the N sweep isolates pure scale-out.
+/// TxnOutcome::shards_touched. A one-node deployment still pays the
+/// distributed codepath's CPU cost (as a one-TiKV TiDB does), so the N
+/// sweep isolates pure scale-out.
 SimSetup ShardedSimSetup(uint32_t shards);
 
 /// Virtual-time benchmark driver: executes the HATtrick procedure against

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <thread>
 
 #include "common/key_encoding.h"
@@ -20,14 +18,6 @@ uint64_t Mix64(uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
-}
-
-TxnProtocol ProtocolFromEnv() {
-  const char* mode = std::getenv("HATTRICK_TXN_PROTOCOL");
-  if (mode != nullptr && std::strcmp(mode, "latch") == 0) {
-    return TxnProtocol::kLatch;
-  }
-  return TxnProtocol::kLockFree;
 }
 
 }  // namespace
@@ -48,8 +38,7 @@ TxnManager::TxnManager(Catalog* catalog, TimestampOracle* oracle,
                        WalSink* sink)
     : catalog_(catalog),
       oracle_(oracle),
-      sink_(sink),
-      protocol_(ProtocolFromEnv()) {
+      sink_(sink) {
   // Real sleep by default: any caller driving the manager from real
   // threads gets livelock-free retries out of the box. Virtual-time
   // drivers replace this with a no-op and schedule the reported backoff
@@ -275,18 +264,6 @@ void TxnManager::ExitTail() {
 }
 
 StatusOr<CommitResult> TxnManager::Commit(Transaction* txn, WorkMeter* meter) {
-  if (protocol_ == TxnProtocol::kLatch) {
-    // Differential protocol: one global latch around the whole commit —
-    // the pre-lock-free behaviour the contention ablation compares
-    // against.
-    MutexLock lock(&commit_latch_);
-    return CommitImpl(txn, meter);
-  }
-  return CommitImpl(txn, meter);
-}
-
-StatusOr<CommitResult> TxnManager::CommitImpl(Transaction* txn,
-                                              WorkMeter* meter) {
   Prepared prep;
   HATTRICK_RETURN_IF_ERROR(Prepare(txn, &prep, meter));
   return CommitPrepared(txn, &prep, meter);

@@ -33,17 +33,6 @@ enum class IsolationLevel {
 /// Returns "READ_COMMITTED" etc.
 const char* IsolationLevelName(IsolationLevel level);
 
-/// Commit protocol selector. kLockFree is the per-row version-chain
-/// protocol (install-pending -> validate -> CAS-publish, ordered WAL
-/// tail); kLatch additionally serializes whole commits behind one global
-/// mutex — the pre-lock-free behaviour, kept for old-vs-new differential
-/// testing and for the contention ablation. Overridable at process level
-/// with HATTRICK_TXN_PROTOCOL=latch.
-enum class TxnProtocol {
-  kLockFree,
-  kLatch,
-};
-
 /// Rids at or above this value are provisional: assigned by BufferInsert
 /// to rows the transaction has buffered but not committed, so the
 /// transaction can read and index-look-up its own inserts. Real rids are
@@ -151,9 +140,6 @@ class TxnManager {
   void set_sink(WalSink* sink) { sink_ = sink; }
   WalSink* sink() const { return sink_; }
 
-  TxnProtocol protocol() const { return protocol_; }
-  void SetProtocol(TxnProtocol protocol) { protocol_ = protocol; }
-
   /// Starts a transaction. `client_id`/`txn_num` tag the eventual WAL
   /// record (used by replication diagnostics).
   Transaction Begin(IsolationLevel isolation, uint32_t client_id = 0,
@@ -216,8 +202,6 @@ class TxnManager {
   /// Phases 1-3 of the lock-free commit: install pending versions,
   /// reserve the commit slot, validate serializable reads. On conflict
   /// returns kAborted with everything rolled back (no slot leaked).
-  /// Note the kLatch differential protocol does not cover this path —
-  /// 2PC is lock-free only.
   Status Prepare(Transaction* txn, Prepared* prep, WorkMeter* meter);
 
   /// Phase 4 (the ordered publish tail) for a prepared transaction.
@@ -287,7 +271,6 @@ class TxnManager {
     Ts commit_ts = 0;
   };
 
-  StatusOr<CommitResult> CommitImpl(Transaction* txn, WorkMeter* meter);
   bool ValidateReads(const Transaction* txn, WorkMeter* meter) const;
 
   CommitSlot RegisterCommit() EXCLUDES(seq_mu_);
@@ -297,14 +280,10 @@ class TxnManager {
   Catalog* catalog_;
   TimestampOracle* oracle_;
   WalSink* sink_;
-  TxnProtocol protocol_;
   /// Atomic rather than GUARDED_BY: advanced only inside the ordered
   /// commit tail, but read lock-free by next_lsn() from driver/freshness
   /// threads while commits are in flight.
   std::atomic<uint64_t> next_lsn_{1};
-  /// kLatch protocol only: serializes whole commits (the pre-lock-free
-  /// behaviour, for differential testing).
-  Mutex commit_latch_;
   /// Commit sequencer: tickets admit committers to the ordered tail.
   /// Only the counters are guarded; tail work runs outside the mutex —
   /// ticket order itself serializes it.

@@ -2,11 +2,12 @@
 // transaction layer: many writer threads hammer a small Zipf-hot key set
 // and the final state must equal the sum of the increments the committed
 // transactions claim (no lost updates, no double application), at every
-// isolation level. A latch-vs-lock-free differential replays identical
-// single-threaded histories under both protocols and demands identical
-// final tables, and a delta-vs-full oracle proves both write shapes
-// converge to the same balances. The binary carries the `tsan` label so
-// the contention-smoke CI leg re-runs it under ThreadSanitizer.
+// isolation level. A serial-model oracle replays seeded single-threaded
+// histories and demands that the final table equal a plain model built
+// from the transactions whose Commit returned OK, and a delta-vs-full
+// oracle proves both write shapes converge to the same balances. The
+// binary carries the `tsan` label so the contention-smoke CI leg re-runs
+// it under ThreadSanitizer.
 
 #include <atomic>
 #include <cmath>
@@ -180,71 +181,98 @@ TEST(CommitStormOracle, DeltaAndFullConvergeIdentically) {
   }
 }
 
-/// Latch-vs-lock-free differential: a deterministic single-threaded
-/// history of interleaved transactions (including overlapping begins,
-/// aborts, deltas, updates and inserts) must leave byte-identical final
-/// tables under both protocols, across 21 seeds.
-TEST(CommitStormDifferential, LatchAndLockFreeAgreeOn21Seeds) {
+/// Serial-model oracle: a deterministic single-threaded history of
+/// interleaved transactions (including overlapping begins, aborts,
+/// deltas, updates and inserts) is replayed against a plain model that
+/// applies each transaction's effect only when Commit returns OK. The
+/// final table must equal the model row for row, across 21 seeds: a lost
+/// or phantom effect shows up as a mismatch.
+TEST(CommitStormOracle, SerialHistoriesMatchModelOn21Seeds) {
+  int overlap_commits = 0;
   for (uint64_t seed = 1; seed <= 21; ++seed) {
-    std::vector<std::vector<int64_t>> finals;
-    for (const TxnProtocol protocol :
-         {TxnProtocol::kLockFree, TxnProtocol::kLatch}) {
-      Fixture f;
-      f.tm->SetProtocol(protocol);
-      Rng rng(seed);
-      // Keep a second transaction open across others to exercise
-      // overlap; commit or abort it at random points.
-      std::unique_ptr<Transaction> overlap;
-      for (int step = 0; step < 200; ++step) {
-        const double p = rng.NextDouble();
-        if (overlap == nullptr && p < 0.2) {
-          overlap = std::make_unique<Transaction>(
-              f.tm->Begin(IsolationLevel::kSnapshot));
-          f.tm->BufferDelta(overlap.get(), 0, HotRid(&rng), 1,
-                            Value(rng.Uniform(1, 5)));
-          continue;
-        }
-        if (overlap != nullptr && p > 0.8) {
-          if (p > 0.9) {
-            (void)f.tm->Commit(overlap.get(), nullptr);
-          } else {
-            f.tm->Abort(overlap.get());
-          }
-          overlap.reset();
-          continue;
-        }
-        Transaction txn = f.tm->Begin(IsolationLevel::kSnapshot);
-        const Rid rid = HotRid(&rng);
-        if (p < 0.5) {
-          f.tm->BufferDelta(&txn, 0, rid, 1, Value(rng.Uniform(1, 9)));
-        } else if (p < 0.75) {
-          Row row;
-          if (!f.tm->Read(&txn, 0, rid, &row, nullptr).ok()) continue;
-          Row updated = row;
-          updated[1] = Value(row[1].AsInt() * 2 + 1);
-          f.tm->BufferUpdate(&txn, 0, rid, row, std::move(updated));
-        } else {
-          f.tm->BufferInsert(
-              &txn, 0,
-              Row{static_cast<int64_t>(kAccounts) + step, rng.Uniform(0, 50)});
-        }
-        (void)f.tm->Commit(&txn, nullptr);
-      }
-      if (overlap != nullptr) f.tm->Abort(overlap.get());
-      std::vector<int64_t> contents;
-      for (Rid rid = 0; rid < f.table->NumSlots(); ++rid) {
-        Row row;
-        if (f.table->ReadLatest(rid, &row, nullptr)) {
-          contents.push_back(row[0].AsInt());
-          contents.push_back(row[1].AsInt());
-        }
-      }
-      finals.push_back(std::move(contents));
+    Fixture f;
+    // (id, balance) per rid, in rid order — the shape of the table scan.
+    std::vector<int64_t> model;
+    for (size_t i = 0; i < kAccounts; ++i) {
+      model.push_back(static_cast<int64_t>(i));
+      model.push_back(0);
     }
-    ASSERT_EQ(finals.size(), 2u);
-    EXPECT_EQ(finals[0], finals[1])
-        << "protocols diverged at seed " << seed;
+    const auto balance = [&model](Rid rid) -> int64_t& {
+      return model[2 * rid + 1];
+    };
+    Rng rng(seed);
+    // Keep a second transaction open across others to exercise overlap;
+    // commit or abort it at random points.
+    std::unique_ptr<Transaction> overlap;
+    Rid overlap_rid = 0;
+    int64_t overlap_amount = 0;
+    for (int step = 0; step < 200; ++step) {
+      const double p = rng.NextDouble();
+      if (overlap == nullptr && p < 0.2) {
+        overlap = std::make_unique<Transaction>(
+            f.tm->Begin(IsolationLevel::kSnapshot));
+        overlap_rid = HotRid(&rng);
+        overlap_amount = rng.Uniform(1, 5);
+        f.tm->BufferDelta(overlap.get(), 0, overlap_rid, 1,
+                          Value(overlap_amount));
+        continue;
+      }
+      if (overlap != nullptr && p > 0.8) {
+        if (p > 0.9 && f.tm->Commit(overlap.get(), nullptr).ok()) {
+          balance(overlap_rid) += overlap_amount;
+          ++overlap_commits;
+        } else {
+          f.tm->Abort(overlap.get());
+        }
+        overlap.reset();
+        continue;
+      }
+      Transaction txn = f.tm->Begin(IsolationLevel::kSnapshot);
+      const Rid rid = HotRid(&rng);
+      int64_t effect_balance = 0;
+      bool insert = false;
+      if (p < 0.5) {
+        const int64_t amount = rng.Uniform(1, 9);
+        f.tm->BufferDelta(&txn, 0, rid, 1, Value(amount));
+        effect_balance = balance(rid) + amount;
+      } else if (p < 0.75) {
+        Row row;
+        if (!f.tm->Read(&txn, 0, rid, &row, nullptr).ok()) continue;
+        // Nothing else is in flight, so the snapshot is the model state.
+        EXPECT_EQ(row[1].AsInt(), balance(rid)) << "seed " << seed;
+        Row updated = row;
+        updated[1] = Value(row[1].AsInt() * 2 + 1);
+        effect_balance = updated[1].AsInt();
+        f.tm->BufferUpdate(&txn, 0, rid, row, std::move(updated));
+      } else {
+        insert = true;
+        effect_balance = rng.Uniform(0, 50);
+        f.tm->BufferInsert(&txn, 0,
+                           Row{static_cast<int64_t>(kAccounts) + step,
+                               effect_balance});
+      }
+      if (!f.tm->Commit(&txn, nullptr).ok()) continue;
+      if (insert) {
+        model.push_back(static_cast<int64_t>(kAccounts) + step);
+        model.push_back(effect_balance);
+      } else {
+        balance(rid) = effect_balance;
+      }
+    }
+    if (overlap != nullptr) f.tm->Abort(overlap.get());
+    std::vector<int64_t> contents;
+    for (Rid rid = 0; rid < f.table->NumSlots(); ++rid) {
+      Row row;
+      if (f.table->ReadLatest(rid, &row, nullptr)) {
+        contents.push_back(row[0].AsInt());
+        contents.push_back(row[1].AsInt());
+      }
+    }
+    EXPECT_EQ(contents, model) << "table diverged from model at seed "
+                               << seed;
   }
+  // The overlapping-commit path must actually run.
+  EXPECT_GT(overlap_commits, 0);
 }
 
 }  // namespace

@@ -58,22 +58,6 @@ class RuleFiringTest(unittest.TestCase):
         self.assertEqual(lines_fired(findings, "raw-lock"),
                          [2, 3, 5, 6, 9, 10, 11])
 
-    def test_unordered_export_fires_on_export_path(self):
-        findings = lint_fixture("src/obs/metrics.cc")
-        self.assertEqual(rules_fired(findings), {"unordered-export"})
-        # The declaration line; the include of <unordered_map> is not an
-        # unordered-export finding (the rule targets usage, and headers
-        # outside export paths may legitimately include it).
-        self.assertIn(7, lines_fired(findings, "unordered-export"))
-
-    def test_unordered_ok_outside_export_path(self):
-        # Identical content at a non-export path must be silent.
-        findings = hattrick_lint.lint_file(
-            os.path.join(FIXTURES, "src/obs/metrics.cc"),
-            repo_root=os.path.dirname(FIXTURES),  # breaks the path match
-        )
-        self.assertNotIn("unordered-export", rules_fired(findings))
-
     def test_assert_in_replication_fires(self):
         findings = lint_fixture("src/replication/apply_bad.cc")
         self.assertEqual(rules_fired(findings), {"assert-in-replication"})
@@ -183,7 +167,7 @@ class CliTest(unittest.TestCase):
         self.assertEqual(
             proc.stdout.split(),
             ["nondeterministic-time", "nondeterministic-random", "raw-lock",
-             "unordered-export", "assert-in-replication", "raw-cas",
+             "assert-in-replication", "raw-cas",
              "concrete-engine-include", "allow-without-reason"],
         )
 

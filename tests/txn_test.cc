@@ -331,21 +331,6 @@ TEST_F(TxnTest, IndexLookupSeesBufferedInserts) {
   EXPECT_EQ(after_visits, 1u);
 }
 
-TEST_F(TxnTest, LatchProtocolMatchesLockFreeSemantics) {
-  // The compatibility protocol (single commit latch around the same
-  // commit pipeline) preserves behavior: first-updater-wins, deltas
-  // commute, final states identical.
-  tm_->SetProtocol(TxnProtocol::kLatch);
-  Transaction t1 = tm_->Begin(IsolationLevel::kSnapshot);
-  Transaction t2 = tm_->Begin(IsolationLevel::kSnapshot);
-  tm_->BufferDelta(&t1, 0, 0, 1, Value(int64_t{10}));
-  tm_->BufferDelta(&t2, 0, 0, 1, Value(int64_t{20}));
-  ASSERT_TRUE(tm_->Commit(&t1, nullptr).ok());
-  ASSERT_TRUE(tm_->Commit(&t2, nullptr).ok());
-  EXPECT_EQ(ReadCommitted(0)[1].AsInt(), 130);
-  tm_->SetProtocol(TxnProtocol::kLockFree);
-}
-
 TEST_F(TxnTest, RetryBackoffIsDeterministicAndCapped) {
   for (int attempt = 0; attempt < 40; ++attempt) {
     const double a = TxnManager::RetryBackoffSeconds(3, 17, attempt);

@@ -1,12 +1,10 @@
 #!/usr/bin/env python3
-"""Built-in C++ fact-extraction frontend for hattrick-analyzer.
+"""C++ fact-extraction frontend for hattrick-analyzer.
 
-Produces the same `FileFacts` structure as the libclang frontend
-(clang_frontend.py) from a dependency-free tokenizer and a micro-parser
-tuned to this codebase's Google-style C++ (see DESIGN.md §9). It is the
-reference frontend: every analyzer pass is fixture-tested against it,
-and the libclang frontend is the opportunistic upgrade when
-clang.cindex is importable.
+Produces the `FileFacts` structure the passes consume from a
+dependency-free tokenizer and a micro-parser tuned to this codebase's
+Google-style C++ (see DESIGN.md §9). Every analyzer pass is
+fixture-tested against it.
 
 The parser is deliberately *not* a general C++ parser. It recognizes
 exactly the constructs the passes consume:

@@ -32,20 +32,14 @@ types — and runs four passes over the merged program:
   unordered-iteration   Type-resolved detection of range-for /
                         .begin() iteration over std::unordered_*
                         containers in TUs that feed exports, WAL
-                        encoding, or commit publish order (replaces the
-                        filename-scoped `unordered-export` line regex
-                        with whole-tree, declaration-resolved analysis).
+                        encoding, or commit publish order.
   switch-exhaustive     Every switch over WAL op kinds, MVCC status
                         words, and 2PC record kinds must cover all
                         enumerators with no `default:` that would
                         swallow newly added kinds.
 
-Frontends: the preferred frontend is libclang (clang.cindex) driven by
-the compile database; when the bindings or the shared library are not
-installed (the container image ships neither), the built-in
-tokenizer/micro-parser frontend (cpp_facts.py) produces the same fact
-stream and is the fixture-tested reference. `--frontend` selects
-explicitly; `auto` (default) upgrades to libclang when importable.
+Frontend: a dependency-free tokenizer/micro-parser (cpp_facts.py)
+produces the fact stream; every pass is fixture-tested against it.
 
 Escape hatch: `// lint:allow(rule-name)` on the reported line, same as
 hattrick-lint (and the `allow-without-reason` lint rule applies: say
@@ -714,37 +708,12 @@ def discover_files(repo_root, compile_db):
     return sorted(files)
 
 
-def load_program(paths, repo_root, frontend="auto", verbose=False):
+def load_program(paths, repo_root):
     program = Program()
-    clang_fe = None
-    if frontend in ("auto", "clang"):
-        try:
-            import clang_frontend
-            clang_fe = clang_frontend.ClangFrontend(repo_root)
-        except Exception as e:  # bindings or libclang missing
-            if frontend == "clang":
-                print(f"hattrick-analyzer: libclang frontend unavailable "
-                      f"({e}); install python3-clang or use "
-                      f"--frontend=builtin", file=sys.stderr)
-                raise SystemExit(2)
-            if verbose:
-                print(f"note: libclang unavailable ({e}); using built-in "
-                      f"frontend", file=sys.stderr)
     parsers = []
     for path in paths:
-        facts = None
-        if clang_fe is not None:
-            try:
-                facts = clang_fe.parse(path)
-            except Exception as e:
-                if verbose:
-                    print(f"note: libclang failed on {path} ({e}); "
-                          f"falling back to built-in frontend",
-                          file=sys.stderr)
-                facts = None
-        if facts is None:
-            facts, parser = cpp_facts.parse_file(path, repo_root)
-            parsers.append(parser)
+        facts, parser = cpp_facts.parse_file(path, repo_root)
+        parsers.append(parser)
         program.add(facts)
     # Body extraction happens after the structure of every file is known.
     for parser in parsers:
@@ -774,8 +743,6 @@ def main(argv):
     parser.add_argument("--compile-db", default=None,
                         help="compile_commands.json (default: "
                              "<repo-root>/build/compile_commands.json)")
-    parser.add_argument("--frontend", choices=("auto", "clang", "builtin"),
-                        default="auto")
     parser.add_argument("--rules", default=None,
                         help="comma-separated subset of rules to run")
     parser.add_argument("--list-rules", action="store_true")
@@ -799,8 +766,7 @@ def main(argv):
                   "and no src/ tree)", file=sys.stderr)
             return 2
 
-    program = load_program(paths, repo_root, frontend=args.frontend,
-                           verbose=args.verbose)
+    program = load_program(paths, repo_root)
 
     selected = [name for name, _ in RULES]
     if args.rules:

@@ -26,7 +26,6 @@
 //   --warmup, --measure   period lengths in virtual s  (default 0.25 / 1)
 //   --seed      workload seed                          (default 7)
 //   --lines, --points, --max_clients   frontier options
-//   --rows_per_sf  lineorders per SF unit              (default 2000)
 //   --threaded  use wall-clock threads instead of the simulator (point)
 //   --dop       intra-query parallelism per A-client   (default 1)
 //   --batch-size  rows per column-vector batch in the vectorized
@@ -34,14 +33,10 @@
 //               fall back to the default)
 //   --row-exec  row-at-a-time oracle executor instead of vectorized
 //               batches (same results and metered work; for A/B runs)
-//   --shards    shard count for --system=tidb-dist with the sharded
-//               distribution model (default: HATTRICK_SHARDS env, else 3;
-//               ignored by single-node systems)
-//   --dist-model  sharded | surcharge — how tidb-dist models
-//               distribution: a real N-shard engine with 2PC and
-//               per-shard replication, or the legacy flat latency
-//               surcharge (default: HATTRICK_DIST_MODEL env, else
-//               sharded)
+//   --shards    shard count for --system=tidb-dist: a real N-shard
+//               engine with 2PC and per-shard replication (default:
+//               HATTRICK_SHARDS env, else 3; ignored by single-node
+//               systems)
 //   --merge-mode  eager | bitmap — hybrid engines' delta visibility:
 //               eager merges the delta before every analytical query
 //               (the paper's protocol), bitmap serves analytics from
@@ -253,13 +248,6 @@ int Main(int argc, char** argv) {
     }
   }
 
-  bench::DistModel dist_model = bench::DefaultDistModel();
-  if (flags.Has("dist-model") &&
-      !bench::ParseDistModel(flags.GetString("dist-model", "sharded"),
-                             &dist_model)) {
-    std::fprintf(stderr, "unknown --dist-model (sharded or surcharge)\n");
-    return Usage();
-  }
   uint32_t shards = bench::DefaultShards();
   if (flags.Has("shards")) {
     shards = static_cast<uint32_t>(flags.GetBoundedInt("shards", 3, 1, 64));
@@ -268,10 +256,7 @@ int Main(int argc, char** argv) {
   std::printf("# system=%s sf=%.1f schema=%s\n",
               bench::EngineKindName(kind), sf, PhysicalSchemaName(schema));
   if (kind == EngineKind::kTidbDist) {
-    std::printf("# dist-model=%s shards=%u\n",
-                dist_model == bench::DistModel::kSharded ? "sharded"
-                                                         : "surcharge",
-                shards);
+    std::printf("# shards=%u\n", shards);
   }
   if (merge_mode == MergeMode::kBitmap) {
     std::printf("# merge-mode=bitmap\n");
@@ -283,7 +268,7 @@ int Main(int argc, char** argv) {
   std::printf("# loading...\n");
   std::fflush(stdout);
   bench::BenchEnv env =
-      bench::MakeEnv(kind, sf, schema, fault, merge_mode, dist_model, shards);
+      bench::MakeEnv(kind, sf, schema, fault, merge_mode, shards);
   std::printf("# loaded %zu lineorders\n", env.dataset.lineorder.size());
 
   WorkloadConfig base;

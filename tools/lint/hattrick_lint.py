@@ -3,9 +3,10 @@
 
 The simulator's core promise is that two runs with the same seed produce
 byte-identical results. That promise is easy to break with one stray
-wall-clock read or one iteration over an unordered container in an export
-path, and such bugs only show up as flaky golden files months later. This
-checker bans the foot-guns at review time instead:
+wall-clock read or one ambient random draw, and such bugs only show up as
+flaky golden files months later. This checker bans the foot-guns at
+review time instead (hash-ordered iteration in export paths is the
+type-resolved `unordered-iteration` pass of tools/analyzer/):
 
   nondeterministic-time     wall-clock sources (time(), std::chrono::
                             system_clock / steady_clock / high_resolution_
@@ -21,11 +22,6 @@ checker bans the foot-guns at review time instead:
                             The annotated wrappers there are the only way
                             to lock, so Clang thread-safety analysis sees
                             every acquisition.
-  unordered-export          iteration over std::unordered_* in export /
-                            snapshot translation units (obs exporters,
-                            report, frontier). Hash ordering varies
-                            run-to-run and across libstdc++ versions;
-                            exports must use ordered containers or sort.
   assert-in-replication     assert() in src/replication/. NDEBUG builds
                             compile asserts out, silently changing
                             replication control flow between Debug and
@@ -89,20 +85,6 @@ ALLOWLIST = {
     "raw-lock": {"src/common/mutex.h"},
 }
 
-# Translation units whose output is part of a deterministic export or
-# snapshot (golden-file surface). Hash-ordered iteration here produces
-# run-to-run diffs.
-EXPORT_PATHS = {
-    "src/obs/metrics.cc",
-    "src/obs/metrics.h",
-    "src/obs/trace.cc",
-    "src/obs/trace.h",
-    "src/hattrick/report.cc",
-    "src/hattrick/report.h",
-    "src/hattrick/frontier.cc",
-    "src/hattrick/frontier.h",
-}
-
 ALLOW_RE = re.compile(r"lint:allow\(([a-zA-Z0-9_,\s-]+)\)")
 
 
@@ -157,13 +139,6 @@ RULES = [
         "raw std synchronization; use the annotated wrappers in "
         "src/common/mutex.h so thread-safety analysis sees the acquisition",
         _outside_allowlist("raw-lock"),
-    ),
-    Rule(
-        "unordered-export",
-        r"\bstd::unordered_(map|set|multimap|multiset)\b",
-        "unordered container in an export/snapshot path; hash order varies "
-        "run-to-run — use std::map/std::set or sort before emitting",
-        lambda rel: rel in EXPORT_PATHS,
     ),
     Rule(
         "assert-in-replication",
