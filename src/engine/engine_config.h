@@ -30,15 +30,16 @@ enum class MergeMode { kEager, kBitmap };
 /// silently benchmark the wrong protocol.
 MergeMode DefaultMergeMode();
 
+/// Every engine retries a transaction aborted by validation up to this
+/// many times; only the final success counts toward throughput.
+inline constexpr int kMaxTxnRetries = 50;
+
 /// Configuration of the shared-design engine.
 struct SharedEngineConfig {
   std::string name = "shared";
   /// The paper's PostgreSQL experiments run serializable by default and
   /// read committed in the Figure 6a comparison.
   IsolationLevel isolation = IsolationLevel::kSerializable;
-  /// Transactions aborted by validation are retried up to this many times;
-  /// only the final success counts toward throughput.
-  int max_retries = 50;
 };
 
 /// Configuration of the isolated-design engine.
@@ -52,19 +53,10 @@ struct IsolatedEngineConfig {
   /// Analytical sessions round-robin across standbys; in REMOTE_APPLY
   /// mode a commit waits until *every* standby has replayed it.
   int num_replicas = 1;
-  int max_retries = 50;
   /// Replication-layer fault injection (disabled by default). Each
   /// standby gets its own injector whose seed mixes the standby index,
   /// so standbys see independent — but still deterministic — schedules.
   FaultConfig fault;
-  /// Backpressure: once a standby's unacknowledged retention buffer
-  /// exceeds this many records, write commits are throttled (see
-  /// CommitWait::throttle_s) so a degraded standby bounds the backlog
-  /// instead of letting the primary run away from it.
-  size_t max_backlog_records = 4096;
-  /// Per-excess-record commit stall, and its cap per commit.
-  double backpressure_stall_s = 20e-6;
-  double backpressure_stall_cap_s = 5e-3;
 };
 
 /// Configuration of the hybrid-design engine.
@@ -73,7 +65,6 @@ struct HybridEngineConfig {
   /// System-X uses optimistic MVCC at serializable (Section 6.4); TiDB's
   /// default is snapshot-isolated repeatable read (Section 6.5).
   IsolationLevel isolation = IsolationLevel::kSerializable;
-  int max_retries = 50;
   MergeMode merge_mode = DefaultMergeMode();
   /// Bitmap mode: background fold triggers once the committed-but-
   /// unfolded version count (across all tables) reaches this depth.

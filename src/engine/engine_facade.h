@@ -109,78 +109,6 @@ struct AnalyticsSession {
 /// engine — single-node or sharded — runs identical logic.
 using TxnBody = std::function<Status(TxnContext*, WorkMeter*)>;
 
-/// Transactional surface of an engine: run one body with retry-on-abort
-/// at the engine's configured isolation level.
-class TxnExecutor {
- public:
-  virtual ~TxnExecutor() = default;
-
-  /// Executes `body` as one transaction with retry-on-abort. Work is
-  /// metered into `meter`.
-  virtual TxnOutcome ExecuteTransaction(const TxnBody& body,
-                                        uint32_t client_id, uint64_t txn_num,
-                                        WorkMeter* meter) = 0;
-};
-
-/// Analytical surface: open a consistent snapshot with a pinned source.
-class AnalyticsProvider {
- public:
-  virtual ~AnalyticsProvider() = default;
-
-  /// Opens an analytical snapshot. Merge/maintenance work performed to
-  /// serve the query is metered into `meter`.
-  virtual AnalyticsSession BeginAnalytics(WorkMeter* meter) = 0;
-};
-
-/// Background-maintenance surface (standby WAL replay, column folds).
-/// The driver pumps it on the analytical side's resources.
-class MaintenancePump {
- public:
-  virtual ~MaintenancePump() = default;
-
-  /// Performs one unit of background maintenance. Returns false if
-  /// there is nothing to do.
-  virtual bool MaintenanceStep(WorkMeter* meter) {
-    (void)meter;
-    return false;
-  }
-
-  /// Outstanding maintenance units (shipped-but-unreplayed records).
-  /// Nonzero while MaintenanceStep returns false means the engine is
-  /// backing off from a fault, not caught up — the driver should poll
-  /// again later instead of parking the applier until the next commit.
-  virtual size_t MaintenancePending() const { return 0; }
-};
-
-/// Replication-visibility surface: what the driver consults to resolve
-/// commit waits and freshness probes. Engines without a standby report
-/// "everything applied" (no replication lag).
-class ReplicationHooks {
- public:
-  virtual ~ReplicationHooks() = default;
-
-  /// True once the standby (if any) has replayed through `lsn`
-  /// (resolves CommitWait::kReplicaApplied).
-  virtual bool IsApplied(uint64_t lsn) const {
-    (void)lsn;
-    return true;
-  }
-
-  /// Highest LSN replayed by the standby.
-  virtual uint64_t applied_lsn() const { return UINT64_MAX; }
-
-  /// The wait a write commit at `lsn` that emitted `wal_bytes` bytes
-  /// must resolve before the client proceeds (replication mode, standby
-  /// backpressure, injected ship-delay faults). Engines without
-  /// replication return the default no-wait. The shard layer folds the
-  /// per-participant waits of a distributed commit through this hook.
-  virtual CommitWait CommitWaitFor(uint64_t lsn, uint64_t wal_bytes) {
-    (void)lsn;
-    (void)wal_bytes;
-    return CommitWait{};
-  }
-};
-
 }  // namespace hattrick
 
 #endif  // HATTRICK_ENGINE_ENGINE_FACADE_H_

@@ -1,6 +1,8 @@
 #ifndef HATTRICK_ENGINE_HTAP_ENGINE_H_
 #define HATTRICK_ENGINE_HTAP_ENGINE_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -14,26 +16,25 @@
 
 namespace hattrick {
 
-/// An HTAP database engine: the four facade surfaces callers actually
-/// use (engine/engine_facade.h) — transaction execution, analytics
-/// sessions, the maintenance pump, replication hooks — plus the
+/// An HTAP database engine: transaction execution, analytics sessions,
+/// the maintenance pump and the replication hooks callers use, plus the
 /// administrative lifecycle (create / load / reset) and observability
-/// wiring that only drivers and benchmark setup touch.
+/// wiring that only drivers and benchmark setup touch. Value types
+/// exchanged across this interface live in engine/engine_facade.h.
 ///
 /// Three single-node implementations mirror the paper's design
-/// classification (Section 2.2):
+/// classification (Section 2.2), and compose the way the classes do:
 ///  - SharedEngine: single copy, single engine (PostgreSQL-like).
-///  - IsolatedEngine: primary + log-shipped standby (PostgreSQL-SR-like).
-///  - HybridEngine: row copy for T, columnar copy for A in one engine
-///    (System-X / TiDB-like).
-/// The shard layer (src/shard/) composes N of them behind this same
-/// interface for horizontal scale-out.
-class HtapEngine : public TxnExecutor,
-                   public AnalyticsProvider,
-                   public MaintenancePump,
-                   public ReplicationHooks {
+///  - IsolatedEngine: a SharedEngine primary plus log-shipped standbys
+///    (engine/standby.h; PostgreSQL-SR-like).
+///  - HybridEngine: a SharedEngine row copy for T plus a columnar copy
+///    for A in one engine (System-X / TiDB-like).
+/// The shard layer (src/shard/) composes N hybrid nodes, each with a
+/// standby chain from the same standby module, behind this interface
+/// for horizontal scale-out.
+class HtapEngine {
  public:
-  ~HtapEngine() override = default;
+  virtual ~HtapEngine() = default;
 
   virtual const std::string& name() const = 0;
 
@@ -47,6 +48,52 @@ class HtapEngine : public TxnExecutor,
 
   /// Finalizes loading and snapshots the state for Reset().
   virtual Status FinishLoad() = 0;
+
+  /// Executes `body` as one transaction with retry-on-abort at the
+  /// engine's configured isolation level. Work is metered into `meter`.
+  virtual TxnOutcome ExecuteTransaction(const TxnBody& body,
+                                        uint32_t client_id, uint64_t txn_num,
+                                        WorkMeter* meter) = 0;
+
+  /// Opens an analytical snapshot. Merge/maintenance work performed to
+  /// serve the query is metered into `meter`.
+  virtual AnalyticsSession BeginAnalytics(WorkMeter* meter) = 0;
+
+  /// Performs one unit of background maintenance (standby WAL replay,
+  /// column folds); the driver pumps it on the analytical side's
+  /// resources. Returns false if there is nothing to do.
+  virtual bool MaintenanceStep(WorkMeter* meter) {
+    (void)meter;
+    return false;
+  }
+
+  /// Outstanding maintenance units (shipped-but-unreplayed records).
+  /// Nonzero while MaintenanceStep returns false means the engine is
+  /// backing off from a fault, not caught up — the driver should poll
+  /// again later instead of parking the applier until the next commit.
+  virtual size_t MaintenancePending() const { return 0; }
+
+  /// True once the standby (if any) has replayed through `lsn`
+  /// (resolves CommitWait::kReplicaApplied). Engines without a standby
+  /// report "everything applied" (no replication lag).
+  virtual bool IsApplied(uint64_t lsn) const {
+    (void)lsn;
+    return true;
+  }
+
+  /// Highest LSN replayed by the standby.
+  virtual uint64_t applied_lsn() const { return UINT64_MAX; }
+
+  /// The wait a write commit at `lsn` that emitted `wal_bytes` bytes
+  /// must resolve before the client proceeds (replication mode, standby
+  /// backpressure, injected ship-delay faults). Engines without
+  /// replication return the default no-wait. The shard layer folds the
+  /// per-participant waits of a distributed commit through this hook.
+  virtual CommitWait CommitWaitFor(uint64_t lsn, uint64_t wal_bytes) {
+    (void)lsn;
+    (void)wal_bytes;
+    return CommitWait{};
+  }
 
   /// Garbage-collects row versions that no possible snapshot can see
   /// (older than the newest committed state). Callers must quiesce

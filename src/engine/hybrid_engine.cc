@@ -44,7 +44,12 @@ HybridEngineConfig TidbConfig() {
 }
 
 HybridEngine::HybridEngine(HybridEngineConfig config)
-    : config_(std::move(config)) {}
+    : config_(std::move(config)),
+      primary_(SharedEngineConfig{config_.name, config_.isolation}) {}
+
+Ts HybridEngine::last_committed() {
+  return primary_.txn_manager()->oracle()->last_committed();
+}
 
 void HybridEngine::DeltaFeed::OnCommit(const WalRecord& record) {
   if (engine_->config_.merge_mode == MergeMode::kBitmap) {
@@ -76,26 +81,22 @@ void HybridEngine::DeltaFeed::OnCommit(const WalRecord& record) {
 }
 
 Status HybridEngine::Create(const DatabaseSpec& spec) {
-  if (created_) return Status::Internal("Create called twice");
-  BuildCatalog(spec, /*with_indexes=*/true, &primary_);
-  BuildCatalog(spec, /*with_indexes=*/false, &snapshot_);
+  HATTRICK_RETURN_IF_ERROR(primary_.Create(spec));
   columns_.reserve(spec.tables.size());
   column_snapshots_.reserve(spec.tables.size());
   for (const TableSpec& table : spec.tables) {
     columns_.push_back(std::make_unique<ColumnTable>(table.schema));
     column_snapshots_.push_back(std::make_unique<ColumnTable>(table.schema));
   }
-  txn_manager_ = std::make_unique<TxnManager>(&primary_, &oracle_, &feed_);
-  created_ = true;
+  primary_.txn_manager()->set_sink(&feed_);
   return Status::OK();
 }
 
 Status HybridEngine::BulkLoad(const std::string& table,
                               const std::vector<Row>& rows) {
-  if (!created_) return Status::Internal("Create not called");
-  if (loaded_) return Status::Internal("load already finished");
-  HATTRICK_RETURN_IF_ERROR(BulkLoadInto(&primary_, table, rows));
-  ColumnTable* column = columns_[primary_.GetTableId(table)].get();
+  HATTRICK_RETURN_IF_ERROR(primary_.BulkLoad(table, rows));
+  ColumnTable* column =
+      columns_[primary_.primary_catalog()->GetTableId(table)].get();
   for (const Row& row : rows) {
     HATTRICK_RETURN_IF_ERROR(column->Append(row, /*meter=*/nullptr));
   }
@@ -103,13 +104,10 @@ Status HybridEngine::BulkLoad(const std::string& table,
 }
 
 Status HybridEngine::FinishLoad() {
-  if (loaded_) return Status::Internal("load already finished");
-  snapshot_.CopyContentsFrom(primary_);
+  HATTRICK_RETURN_IF_ERROR(primary_.FinishLoad());
   for (size_t i = 0; i < columns_.size(); ++i) {
     column_snapshots_[i]->CopyFrom(*columns_[i]);
   }
-  oracle_.ResetTo(1);
-  loaded_ = true;
   return Status::OK();
 }
 
@@ -117,25 +115,8 @@ TxnOutcome HybridEngine::ExecuteTransaction(const TxnBody& body,
                                             uint32_t client_id,
                                             uint64_t txn_num,
                                             WorkMeter* meter) {
-  TxnOutcome outcome;
-  StatusOr<CommitResult> result = txn_manager_->RunWithRetries(
-      config_.isolation, client_id, txn_num,
-      [&](Transaction* txn) {
-        LocalTxnContext ctx(txn_manager_.get(), txn);
-        return body(&ctx, meter);
-      },
-      meter,
-      config_.max_retries, &outcome.attempts, &outcome.backoff_s);
-  if (!result.ok()) {
-    outcome.status = result.status();
-    return outcome;
-  }
-  outcome.status = Status::OK();
-  outcome.commit_ts = result->commit_ts;
-  outcome.lsn = result->lsn;
-  outcome.write_keys = std::move(result.value().write_keys);
-  outcome.delta_keys = std::move(result.value().delta_keys);
-  return outcome;  // no commit wait: merge happens on the analytical side
+  // No commit wait: merge happens on the analytical side.
+  return primary_.ExecuteTransaction(body, client_id, txn_num, meter);
 }
 
 void HybridEngine::MergeDelta(WorkMeter* meter) {
@@ -200,6 +181,7 @@ void HybridEngine::MergeDelta(WorkMeter* meter) {
 }
 
 AnalyticsSession HybridEngine::BeginAnalytics(WorkMeter* meter) {
+  const Catalog& catalog = *primary_.primary_catalog();
   if (config_.merge_mode == MergeMode::kBitmap) {
     AnalyticsSession session;
     // Pin FIRST, then read the snapshot CSN. The pin excludes folds for
@@ -209,14 +191,14 @@ AnalyticsSession HybridEngine::BeginAnalytics(WorkMeter* meter) {
     // state at the CSN, never half-folded. (Snapshotting before
     // pinning would race a fold whose horizon passed the CSN.)
     session.guard = merge_latch_.AcquirePin();
-    session.snapshot = oracle_.last_committed();
+    session.snapshot = last_committed();
     auto source = std::make_unique<ColumnDataSource>();
     for (size_t id = 0; id < columns_.size(); ++id) {
       auto delta = std::make_shared<ColumnDeltaSnapshot>();
       columns_[id]->SnapshotVersions(session.snapshot, delta.get(), meter);
       const size_t bound = delta->bound;
       // An empty snapshot degrades to the plain merged-base scan.
-      source->AddTable(primary_.table_name(static_cast<TableId>(id)),
+      source->AddTable(catalog.table_name(static_cast<TableId>(id)),
                        columns_[id].get(), bound,
                        delta->Empty() ? nullptr : std::move(delta));
     }
@@ -227,11 +209,11 @@ AnalyticsSession HybridEngine::BeginAnalytics(WorkMeter* meter) {
   // the zero-freshness design of System-X and TiDB (Sections 6.4, 6.5).
   MergeDelta(meter);
   AnalyticsSession session;
-  session.snapshot = oracle_.last_committed();
+  session.snapshot = last_committed();
   std::shared_ptr<void> guard = merge_latch_.AcquirePin();
   auto source = std::make_unique<ColumnDataSource>();
   for (size_t id = 0; id < columns_.size(); ++id) {
-    source->AddTable(primary_.table_name(static_cast<TableId>(id)),
+    source->AddTable(catalog.table_name(static_cast<TableId>(id)),
                      columns_[id].get(), columns_[id]->num_rows());
   }
   session.source = std::move(source);
@@ -243,7 +225,7 @@ size_t HybridEngine::FoldPass(WorkMeter* meter) {
   // Serialized with eager merges and other folds; the horizon is read
   // after taking the order lock so two passes never fold out of order.
   MutexLock order(&merge_order_);
-  const Ts horizon = oracle_.last_committed();
+  const Ts horizon = last_committed();
   if (TotalPendingVersions() == 0) return 0;
   obs::ScopedSpan span(obs_.tracer, obs_.clock, "delta-fold", "merge",
                        obs::kTrackEngine);
@@ -293,18 +275,10 @@ void HybridEngine::FoldAll(WorkMeter* meter) {
   }
 }
 
-size_t HybridEngine::Vacuum() {
-  obs::ScopedSpan span(obs_.tracer, obs_.clock, "vacuum", "maint",
-                       obs::kTrackEngine);
-  const size_t dropped = primary_.VacuumAll(oracle_.last_committed());
-  if (obs_.metrics != nullptr) {
-    obs_.metrics->GetCounter(obs::kStoreVacuumedVersions)->Inc(dropped);
-  }
-  span.AppendArgs("\"versions\":" + std::to_string(dropped));
-  return dropped;
-}
+size_t HybridEngine::Vacuum() { return primary_.Vacuum(); }
 
 void HybridEngine::OnObservabilityChanged() {
+  primary_.SetObservability(obs_);
   if (obs_.metrics == nullptr) {
     merge_passes_metric_ = merge_rows_metric_ = merge_records_metric_ =
         nullptr;
@@ -325,9 +299,10 @@ void HybridEngine::OnObservabilityChanged() {
 }
 
 Status HybridEngine::Reset() {
-  if (!loaded_) return Status::Internal("FinishLoad not called");
+  Status status;
   merge_latch_.WithExclusive([&] {
-    primary_.CopyContentsFrom(snapshot_);
+    status = primary_.Reset();
+    if (!status.ok()) return;
     {
       MutexLock lock(&delta_mutex_);
       delta_.clear();
@@ -335,10 +310,8 @@ Status HybridEngine::Reset() {
     for (size_t i = 0; i < columns_.size(); ++i) {
       columns_[i]->CopyFrom(*column_snapshots_[i]);
     }
-    oracle_.ResetTo(1);
-    txn_manager_->ResetLsn(1);
   });
-  return Status::OK();
+  return status;
 }
 
 size_t HybridEngine::PendingDelta() const {
@@ -351,7 +324,8 @@ size_t HybridEngine::PendingDelta() const {
 
 const ColumnTable* HybridEngine::column_table(
     const std::string& table) const {
-  return columns_[primary_.GetTableId(table)].get();
+  // The post-load catalog has the row copy's table ids.
+  return columns_[primary_.post_load().GetTableId(table)].get();
 }
 
 }  // namespace hattrick

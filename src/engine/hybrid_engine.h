@@ -11,20 +11,19 @@
 #include "engine/engine_config.h"
 #include "engine/htap_engine.h"
 #include "engine/session_pin.h"
-#include "exec/scan.h"
+#include "engine/shared_engine.h"
 #include "storage/column_table.h"
-#include "txn/timestamp.h"
 
 namespace hattrick {
 
 /// Hybrid design (Section 2.2): one engine and shared compute, but two
-/// copies of the data — a row store executing transactions and a columnar
-/// copy serving analytics. Committed writes queue as a delta; in eager
-/// mode, opening an analytical session first merges the outstanding
-/// delta into the column store ("every analytical query ... has to fetch
-/// the changes from the transactional log or the tail of the T copy"),
-/// so the freshness score is identically zero and merge cost lands on
-/// the analytical side. In bitmap mode (see MergeMode) commits append
+/// copies of the data — a row store (a SharedEngine) executing
+/// transactions and a columnar copy serving analytics. Committed writes
+/// queue as a delta; in eager mode, opening an analytical session first
+/// merges the outstanding delta into the column store ("every
+/// analytical query ... has to fetch the changes from the transactional
+/// log or the tail of the T copy"), so the freshness score is
+/// identically zero and merge cost lands on the analytical side. In bitmap mode (see MergeMode) commits append
 /// CSN-stamped versions instead and sessions scan through per-session
 /// visibility snapshots, killing the merge-before-read stall while
 /// keeping freshness 0 and bit-identical query results.
@@ -50,8 +49,8 @@ class HybridEngine final : public HtapEngine {
   size_t MaintenancePending() const override;
   size_t Vacuum() override;
   Status Reset() override;
-  Catalog* primary_catalog() override { return &primary_; }
-  TxnManager* txn_manager() override { return txn_manager_.get(); }
+  Catalog* primary_catalog() override { return primary_.primary_catalog(); }
+  TxnManager* txn_manager() override { return primary_.txn_manager(); }
 
   /// Forces full visibility of the committed state into the columnar
   /// base: merges the delta queue (eager) or folds every version
@@ -69,6 +68,10 @@ class HybridEngine final : public HtapEngine {
 
   /// The columnar copy of `table` (tests/benchmarks).
   const ColumnTable* column_table(const std::string& table) const;
+
+  /// The row copy's post-load state (a sharded node's standby resets
+  /// from it).
+  const Catalog& post_load_rows() const { return primary_.post_load(); }
 
  protected:
   void OnObservabilityChanged() override;
@@ -96,16 +99,16 @@ class HybridEngine final : public HtapEngine {
   /// Unfolded versions across all column tables (bitmap mode).
   size_t TotalPendingVersions() const;
 
+  /// The last committed timestamp of the row copy.
+  Ts last_committed();
+
   HybridEngineConfig config_;
-  Catalog primary_;
-  Catalog snapshot_;  // post-load row state for Reset()
+  SharedEngine primary_;  // the row copy
   std::vector<std::unique_ptr<ColumnTable>> columns_;  // by TableId
   /// Post-load columnar state for Reset(). TruncateTo is insufficient
   /// because merged *updates* mutate loaded rows in place.
   std::vector<std::unique_ptr<ColumnTable>> column_snapshots_;
-  TimestampOracle oracle_;
   DeltaFeed feed_{this};
-  std::unique_ptr<TxnManager> txn_manager_;
   mutable Mutex delta_mutex_;
   std::deque<WalRecord> delta_ GUARDED_BY(delta_mutex_);
   /// Orders whole merge passes: without it two concurrent BeginAnalytics
@@ -123,8 +126,6 @@ class HybridEngine final : public HtapEngine {
   obs::Counter* merge_records_metric_ = nullptr;
   obs::Counter* fold_passes_metric_ = nullptr;
   obs::Counter* fold_rows_metric_ = nullptr;
-  bool created_ = false;
-  bool loaded_ = false;
 };
 
 }  // namespace hattrick

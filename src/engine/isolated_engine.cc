@@ -1,78 +1,36 @@
 #include "engine/isolated_engine.h"
 
-#include <algorithm>
 #include <cassert>
-
-#include "engine/shared_engine.h"
 
 namespace hattrick {
 
 IsolatedEngine::IsolatedEngine(IsolatedEngineConfig config)
-    : config_(std::move(config)) {
+    : config_(std::move(config)),
+      primary_(SharedEngineConfig{config_.name, config_.isolation}),
+      standbys_(static_cast<size_t>(config_.num_replicas), config_.fault) {
   assert(config_.num_replicas >= 1);
 }
 
-void IsolatedEngine::FanOutSink::OnCommit(const WalRecord& record) {
-  for (Standby& standby : engine_->replicas_) {
-    standby.stream->OnCommit(record);
-  }
-  const obs::Observability& o = engine_->obs_;
-  if (o.tracer != nullptr && o.clock != nullptr) {
-    o.tracer->Instant("wal-ship", "repl", obs::kTrackEngine, o.clock->Now(),
-                      "\"lsn\":" + std::to_string(record.lsn));
-  }
-}
-
 Status IsolatedEngine::Create(const DatabaseSpec& spec) {
-  if (created_) return Status::Internal("Create called twice");
-  BuildCatalog(spec, /*with_indexes=*/true, &primary_);
-  BuildCatalog(spec, /*with_indexes=*/false, &snapshot_);
-  replicas_.reserve(static_cast<size_t>(config_.num_replicas));
-  for (int i = 0; i < config_.num_replicas; ++i) {
-    Standby standby;
-    standby.catalog = std::make_unique<Catalog>();
-    BuildCatalog(spec, /*with_indexes=*/true, standby.catalog.get());
-    standby.stream = std::make_unique<WalStream>();
-    standby.replica = std::make_unique<Replica>(standby.catalog.get(),
-                                                standby.stream.get());
-    if (config_.fault.enabled) {
-      // Mix the standby index into the seed so standbys fail
-      // independently, while each schedule stays seed-deterministic.
-      FaultConfig per_standby = config_.fault;
-      per_standby.seed = config_.fault.seed ^
-                         (0x9e3779b97f4a7c15ull * static_cast<uint64_t>(i + 1));
-      standby.injector = std::make_unique<FaultInjector>(per_standby);
-      standby.stream->SetFaultInjector(standby.injector.get());
-      standby.replica->SetFaultInjector(standby.injector.get());
-    }
-    replicas_.push_back(std::move(standby));
-  }
-  txn_manager_ = std::make_unique<TxnManager>(&primary_, &oracle_, &sink_);
-  created_ = true;
+  HATTRICK_RETURN_IF_ERROR(primary_.Create(spec));
+  standbys_.Create(spec);
+  standbys_.Attach(primary_.txn_manager(), 0, standbys_.size());
   return Status::OK();
 }
 
 Status IsolatedEngine::BulkLoad(const std::string& table,
                                 const std::vector<Row>& rows) {
-  if (!created_) return Status::Internal("Create not called");
-  if (loaded_) return Status::Internal("load already finished");
   // Base backup: every node loads the same data outside the WAL channel.
-  HATTRICK_RETURN_IF_ERROR(BulkLoadInto(&primary_, table, rows));
-  for (Standby& standby : replicas_) {
-    HATTRICK_RETURN_IF_ERROR(
-        BulkLoadInto(standby.catalog.get(), table, rows));
+  HATTRICK_RETURN_IF_ERROR(primary_.BulkLoad(table, rows));
+  for (size_t i = 0; i < standbys_.size(); ++i) {
+    HATTRICK_RETURN_IF_ERROR(standbys_.BulkLoad(i, table, rows));
   }
   return Status::OK();
 }
 
 Status IsolatedEngine::FinishLoad() {
-  if (loaded_) return Status::Internal("load already finished");
-  snapshot_.CopyContentsFrom(primary_);
-  oracle_.ResetTo(1);
-  for (Standby& standby : replicas_) {
-    standby.replica->ResetTo(/*lsn=*/0, /*ts=*/1);
-  }
-  loaded_ = true;
+  HATTRICK_RETURN_IF_ERROR(primary_.FinishLoad());
+  standbys_.FinishLoad();
   return Status::OK();
 }
 
@@ -80,27 +38,12 @@ TxnOutcome IsolatedEngine::ExecuteTransaction(const TxnBody& body,
                                               uint32_t client_id,
                                               uint64_t txn_num,
                                               WorkMeter* meter) {
-  TxnOutcome outcome;
   const uint64_t bytes_before = meter != nullptr ? meter->wal_bytes : 0;
-  StatusOr<CommitResult> result = txn_manager_->RunWithRetries(
-      config_.isolation, client_id, txn_num,
-      [&](Transaction* txn) {
-        LocalTxnContext ctx(txn_manager_.get(), txn);
-        return body(&ctx, meter);
-      },
-      meter, config_.max_retries, &outcome.attempts, &outcome.backoff_s);
-  if (!result.ok()) {
-    outcome.status = result.status();
-    return outcome;
-  }
-  outcome.status = Status::OK();
-  outcome.commit_ts = result->commit_ts;
-  outcome.lsn = result->lsn;
-  outcome.write_keys = std::move(result.value().write_keys);
-  outcome.delta_keys = std::move(result.value().delta_keys);
-  if (result->lsn != 0) {  // write transaction: replication semantics apply
+  TxnOutcome outcome =
+      primary_.ExecuteTransaction(body, client_id, txn_num, meter);
+  if (outcome.lsn != 0) {  // write transaction: replication semantics apply
     outcome.wait = CommitWaitFor(
-        result->lsn, meter != nullptr ? meter->wal_bytes - bytes_before : 0);
+        outcome.lsn, meter != nullptr ? meter->wal_bytes - bytes_before : 0);
   }
   return outcome;
 }
@@ -120,32 +63,15 @@ CommitWait IsolatedEngine::CommitWaitFor(uint64_t lsn, uint64_t wal_bytes) {
       wait.lsn = lsn;
       break;
   }
-  double throttle = 0;
-  const size_t backlog = MaxRetainedRecords();
-  if (backlog > config_.max_backlog_records) {
-    const double excess =
-        static_cast<double>(backlog - config_.max_backlog_records);
-    throttle = std::min(config_.backpressure_stall_cap_s,
-                        config_.backpressure_stall_s * excess);
-  }
-  for (const Standby& standby : replicas_) {
-    if (standby.injector != nullptr) {
-      throttle = std::max(throttle, standby.injector->ShipDelaySeconds(lsn));
-    }
-  }
-  if (throttle > 0) {
-    wait.throttle_s = throttle;
-    throttle_seconds_total_.fetch_add(throttle, std::memory_order_relaxed);
-  }
+  wait.throttle_s = standbys_.Throttle(lsn);
   return wait;
 }
 
 AnalyticsSession IsolatedEngine::BeginAnalytics(WorkMeter* meter) {
   (void)meter;  // replay runs as MaintenanceStep, not inside queries
   // Round-robin load balancing across the standbys.
-  const size_t index = next_session_.fetch_add(1) %
-                       static_cast<size_t>(config_.num_replicas);
-  const Standby& standby = replicas_[index];
+  const size_t index = next_session_.fetch_add(1) % standbys_.size();
+  const StandbyChain& standby = standbys_.chain(index);
   AnalyticsSession session;
   session.snapshot = standby.replica->Snapshot();
   session.source = std::make_unique<RowDataSource>(standby.catalog.get(),
@@ -153,192 +79,25 @@ AnalyticsSession IsolatedEngine::BeginAnalytics(WorkMeter* meter) {
   return session;
 }
 
-bool IsolatedEngine::MaintenanceStep(WorkMeter* meter) {
-  // Advance the furthest-behind standby first (one shared maintenance
-  // budget; with one standby this is exactly its single-threaded applier).
-  Standby* laggard = nullptr;
-  for (Standby& standby : replicas_) {
-    if (!standby.replica->last_error().ok()) continue;  // dead standby
-    if (laggard == nullptr ||
-        standby.replica->applied_lsn() < laggard->replica->applied_lsn()) {
-      laggard = &standby;
-    }
-  }
-  if (laggard == nullptr) return false;
-  const Replica::StepResult result = laggard->replica->Step(meter);
-  const uint64_t lsn = laggard->replica->applied_lsn();
-  switch (result) {
-    case Replica::StepResult::kApplied:
-      if (applied_records_metric_ != nullptr) applied_records_metric_->Inc();
-      return true;
-    case Replica::StepResult::kDuplicateSkipped:
-    case Replica::StepResult::kResendRequested:
-      // Recovery work happened; the queue moved, keep pumping.
-      return true;
-    case Replica::StepResult::kRecovered:
-      if (crash_recoveries_metric_ != nullptr) crash_recoveries_metric_->Inc();
-      if (obs_.tracer != nullptr && obs_.clock != nullptr) {
-        obs_.tracer->Instant("replica-recover", "repl", obs::kTrackApplier,
-                             obs_.clock->Now(),
-                             "\"resync_from_lsn\":" + std::to_string(lsn));
-      }
-      return true;
-    case Replica::StepResult::kError:
-      // Surface the failure in the trace; the applier parks rather than
-      // spinning on a broken stream.
-      if (obs_.tracer != nullptr && obs_.clock != nullptr) {
-        obs_.tracer->Instant(
-            "replica-error", "repl", obs::kTrackApplier, obs_.clock->Now(),
-            "\"error\":\"" + laggard->replica->last_error().message() + "\"");
-      }
-      return false;
-    case Replica::StepResult::kBackingOff:
-    case Replica::StepResult::kIdle:
-      // Nothing useful to do right now: idle the applier. The next
-      // committed record wakes it again (and drains the backoff).
-      return false;
-  }
-  return false;
-}
-
 bool IsolatedEngine::IsApplied(uint64_t lsn) const {
   // REMOTE_APPLY with multiple synchronous standbys: all must replay.
   return applied_lsn() >= lsn;
 }
 
-uint64_t IsolatedEngine::applied_lsn() const {
-  uint64_t min_applied = UINT64_MAX;
-  for (const Standby& standby : replicas_) {
-    min_applied = std::min(min_applied, standby.replica->applied_lsn());
-  }
-  return min_applied;
-}
-
-size_t IsolatedEngine::ReplicationLag() const {
-  size_t lag = 0;
-  for (const Standby& standby : replicas_) {
-    lag = std::max(lag, standby.replica->Lag());
-  }
-  return lag;
-}
-
-size_t IsolatedEngine::MaintenancePending() const {
-  // Only healthy standbys count: an errored applier never makes
-  // progress, so reporting its lag would have the driver poll forever.
-  size_t lag = 0;
-  for (const Standby& standby : replicas_) {
-    if (!standby.replica->last_error().ok()) continue;
-    lag = std::max(lag, standby.replica->Lag());
-  }
-  return lag;
-}
-
-size_t IsolatedEngine::MaxRetainedRecords() const {
-  size_t depth = 0;
-  for (const Standby& standby : replicas_) {
-    depth = std::max(depth, standby.stream->RetainedRecords());
-  }
-  return depth;
-}
-
 size_t IsolatedEngine::Vacuum() {
-  obs::ScopedSpan span(obs_.tracer, obs_.clock, "vacuum", "maint",
-                       obs::kTrackEngine);
-  size_t dropped = primary_.VacuumAll(oracle_.last_committed());
-  for (Standby& standby : replicas_) {
-    dropped += standby.catalog->VacuumAll(standby.replica->Snapshot());
-  }
-  if (obs_.metrics != nullptr) {
-    obs_.metrics->GetCounter(obs::kStoreVacuumedVersions)->Inc(dropped);
-  }
-  span.AppendArgs("\"versions\":" + std::to_string(dropped));
-  return dropped;
+  return primary_.Vacuum() + standbys_.Vacuum();
 }
 
 void IsolatedEngine::OnObservabilityChanged() {
-  if (obs_.metrics == nullptr) {
-    applied_records_metric_ = nullptr;
-    crash_recoveries_metric_ = nullptr;
-    for (Standby& standby : replicas_) {
-      for (IndexInfo* index : standby.catalog->AllIndexes()) {
-        index->tree->set_split_counter(nullptr);
-      }
-    }
-    return;
-  }
-  applied_records_metric_ = obs_.metrics->GetCounter(obs::kReplAppliedRecords);
-  crash_recoveries_metric_ =
-      obs_.metrics->GetCounter(obs::kReplCrashRecoveries);
-  obs_.metrics->GetGauge(obs::kReplBacklogRecords)->SetProbe([this] {
-    return static_cast<double>(ReplicationLag());
-  });
-  obs_.metrics->GetGauge(obs::kReplAppliedLsn)->SetProbe([this] {
-    return static_cast<double>(applied_lsn());
-  });
-  obs_.metrics->GetGauge(obs::kReplShippedBytes)->SetProbe([this] {
-    double total = 0;
-    for (const Standby& standby : replicas_) {
-      total += static_cast<double>(standby.stream->shipped_bytes());
-    }
-    return total;
-  });
-  obs_.metrics->GetGauge(obs::kReplRetainedRecords)->SetProbe([this] {
-    return static_cast<double>(MaxRetainedRecords());
-  });
-  obs_.metrics->GetGauge(obs::kReplThrottleSeconds)->SetProbe([this] {
-    return throttle_seconds_total_.load(std::memory_order_relaxed);
-  });
-  // Recovery and fault accounting, summed across standbys.
-  const auto sum_probe = [this](uint64_t (WalStream::*getter)() const) {
-    return [this, getter] {
-      double total = 0;
-      for (const Standby& standby : replicas_) {
-        total += static_cast<double>((standby.stream.get()->*getter)());
-      }
-      return total;
-    };
-  };
-  obs_.metrics->GetGauge(obs::kReplResendRequests)
-      ->SetProbe(sum_probe(&WalStream::resends_requested));
-  obs_.metrics->GetGauge(obs::kReplResendsShipped)
-      ->SetProbe(sum_probe(&WalStream::resends_delivered));
-  obs_.metrics->GetGauge(obs::kReplResendsLost)
-      ->SetProbe(sum_probe(&WalStream::resends_lost));
-  obs_.metrics->GetGauge(obs::kFaultInjectedDrops)
-      ->SetProbe(sum_probe(&WalStream::injected_drops));
-  obs_.metrics->GetGauge(obs::kFaultInjectedDuplicates)
-      ->SetProbe(sum_probe(&WalStream::injected_duplicates));
-  obs_.metrics->GetGauge(obs::kFaultInjectedReorders)
-      ->SetProbe(sum_probe(&WalStream::injected_reorders));
-  obs_.metrics->GetGauge(obs::kReplDuplicateSkips)->SetProbe([this] {
-    double total = 0;
-    for (const Standby& standby : replicas_) {
-      total += static_cast<double>(standby.replica->duplicate_skips());
-    }
-    return total;
-  });
-  // Standby trees split during replay too; wire them onto the same
-  // counter the base class attached to the primary's indexes.
-  obs::Counter* splits = obs_.metrics->GetCounter(obs::kStoreBtreeSplits);
-  for (Standby& standby : replicas_) {
-    for (IndexInfo* index : standby.catalog->AllIndexes()) {
-      index->tree->set_split_counter(splits);
-    }
-  }
+  primary_.SetObservability(obs_);
+  standbys_.SetObservability(obs_);
 }
 
 Status IsolatedEngine::Reset() {
-  if (!loaded_) return Status::Internal("FinishLoad not called");
-  primary_.CopyContentsFrom(snapshot_);
-  oracle_.ResetTo(1);
-  txn_manager_->ResetLsn(1);
-  for (Standby& standby : replicas_) {
-    standby.catalog->CopyContentsFrom(snapshot_);
-    standby.stream->Reset();
-    standby.replica->ResetTo(/*lsn=*/0, /*ts=*/1);
-  }
+  HATTRICK_RETURN_IF_ERROR(primary_.Reset());
+  standbys_.Reset(std::vector<const Catalog*>(standbys_.size(),
+                                              &primary_.post_load()));
   next_session_.store(0);
-  throttle_seconds_total_.store(0, std::memory_order_relaxed);
   return Status::OK();
 }
 

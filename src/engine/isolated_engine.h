@@ -2,23 +2,22 @@
 #define HATTRICK_ENGINE_ISOLATED_ENGINE_H_
 
 #include <atomic>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "engine/engine_config.h"
 #include "engine/htap_engine.h"
-#include "exec/scan.h"
-#include "fault/fault_injector.h"
+#include "engine/shared_engine.h"
+#include "engine/standby.h"
 #include "replication/replica.h"
 #include "replication/wal_stream.h"
-#include "txn/timestamp.h"
 
 namespace hattrick {
 
-/// Isolated design (Section 2.2): a primary node executes transactions;
-/// standby node(s) fed by streaming WAL replication serve analytics
-/// (PostgreSQL-SR, Section 6.3).
+/// Isolated design (Section 2.2): a primary node — a SharedEngine —
+/// executes transactions; standby node(s) fed by streaming WAL
+/// replication (engine/standby.h) serve analytics (PostgreSQL-SR,
+/// Section 6.3).
 ///
 /// - Compute isolation: the driver places transactions on the primary's
 ///   core pool and queries plus WAL replay on the standby's pool, so the
@@ -40,63 +39,37 @@ class IsolatedEngine final : public HtapEngine {
   TxnOutcome ExecuteTransaction(const TxnBody& body, uint32_t client_id,
                                 uint64_t txn_num, WorkMeter* meter) override;
   AnalyticsSession BeginAnalytics(WorkMeter* meter) override;
-  bool MaintenanceStep(WorkMeter* meter) override;
-  size_t MaintenancePending() const override;
+  bool MaintenanceStep(WorkMeter* meter) override {
+    return standbys_.Step(meter);
+  }
+  size_t MaintenancePending() const override { return standbys_.Pending(); }
   bool IsApplied(uint64_t lsn) const override;
-  uint64_t applied_lsn() const override;
+  uint64_t applied_lsn() const override { return standbys_.AppliedLsn(); }
   /// Replication-mode wait (sync ship / remote apply) plus standby
   /// backpressure and injected ship-delay throttles for a write commit.
   CommitWait CommitWaitFor(uint64_t lsn, uint64_t wal_bytes) override;
   size_t Vacuum() override;
   Status Reset() override;
-  Catalog* primary_catalog() override { return &primary_; }
-  TxnManager* txn_manager() override { return txn_manager_.get(); }
+  Catalog* primary_catalog() override { return primary_.primary_catalog(); }
+  TxnManager* txn_manager() override { return primary_.txn_manager(); }
 
   ReplicationMode mode() const { return config_.mode; }
   int num_replicas() const { return config_.num_replicas; }
   /// Standby `i` (0-based; i < num_replicas()).
-  Replica* replica(int i = 0) { return replicas_[i].replica.get(); }
+  Replica* replica(int i = 0) { return standbys_.chain(i).replica.get(); }
   /// Standby i's shipping stream (fault counters, retention depth).
-  WalStream* stream(int i = 0) { return replicas_[i].stream.get(); }
+  WalStream* stream(int i = 0) { return standbys_.chain(i).stream.get(); }
   /// Records shipped but not yet replayed on the furthest-behind standby.
-  size_t ReplicationLag() const;
-  /// Deepest unacknowledged retention buffer — the backpressure signal.
-  size_t MaxRetainedRecords() const;
+  size_t ReplicationLag() const { return standbys_.Lag(); }
 
  protected:
   void OnObservabilityChanged() override;
 
  private:
-  /// Fans committed records out to every standby's shipping stream.
-  class FanOutSink final : public WalSink {
-   public:
-    explicit FanOutSink(IsolatedEngine* engine) : engine_(engine) {}
-    void OnCommit(const WalRecord& record) override;
-
-   private:
-    IsolatedEngine* engine_;
-  };
-
-  struct Standby {
-    std::unique_ptr<Catalog> catalog;
-    std::unique_ptr<FaultInjector> injector;  // null when faults disabled
-    std::unique_ptr<WalStream> stream;
-    std::unique_ptr<Replica> replica;
-  };
-
   IsolatedEngineConfig config_;
-  Catalog primary_;
-  Catalog snapshot_;  // post-load state for Reset()
-  TimestampOracle oracle_;
-  FanOutSink sink_{this};
-  std::unique_ptr<TxnManager> txn_manager_;
-  std::vector<Standby> replicas_;
+  SharedEngine primary_;
+  StandbySet standbys_;
   std::atomic<uint64_t> next_session_{0};  // round-robin standby selector
-  std::atomic<double> throttle_seconds_total_{0};
-  obs::Counter* applied_records_metric_ = nullptr;
-  obs::Counter* crash_recoveries_metric_ = nullptr;
-  bool created_ = false;
-  bool loaded_ = false;
 };
 
 }  // namespace hattrick

@@ -71,8 +71,7 @@ TxnOutcome SharedEngine::ExecuteTransaction(const TxnBody& body,
         LocalTxnContext ctx(txn_manager_.get(), txn);
         return body(&ctx, meter);
       },
-      meter,
-      config_.max_retries, &outcome.attempts, &outcome.backoff_s);
+      meter, kMaxTxnRetries, &outcome.attempts, &outcome.backoff_s);
   if (!result.ok()) {
     outcome.status = result.status();
     return outcome;

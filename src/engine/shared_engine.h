@@ -36,6 +36,9 @@ class SharedEngine final : public HtapEngine {
   TxnManager* txn_manager() override { return txn_manager_.get(); }
 
   IsolationLevel isolation() const { return config_.isolation; }
+  /// The post-load state Reset() restores (the isolated design resets
+  /// its standbys from it too).
+  const Catalog& post_load() const { return snapshot_; }
 
  private:
   SharedEngineConfig config_;

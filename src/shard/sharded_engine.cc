@@ -4,30 +4,11 @@
 #include <cassert>
 #include <utility>
 
-#include "engine/engine_factory.h"
-#include "engine/shared_engine.h"
 #include "exec/scan.h"
 
 namespace hattrick {
 
 namespace {
-
-/// Fans one WAL record out to the inner engine's own sink (the hybrid
-/// column-store delta feed) and to the shard's replication stream. Runs
-/// inside the commit tail, so records arrive in commit order on both.
-class TeeSink final : public WalSink {
- public:
-  TeeSink(WalSink* inner, WalStream* stream) : inner_(inner), stream_(stream) {}
-
-  void OnCommit(const WalRecord& record) override {
-    if (inner_ != nullptr) inner_->OnCommit(record);
-    stream_->OnCommit(record);
-  }
-
- private:
-  WalSink* inner_;
-  WalStream* stream_;
-};
 
 /// Drains its children in order — the union of per-shard scans of one
 /// logical table. Children produce disjoint row sets (each shard scans
@@ -478,7 +459,8 @@ class ShardedTxnContext final : public TxnContext {
 };
 
 ShardedEngine::ShardedEngine(ShardedEngineConfig config)
-    : config_(std::move(config)) {
+    : config_(std::move(config)),
+      standbys_(config_.replicate ? config_.shards : 0, config_.fault) {
   assert(config_.shards >= 1);
 }
 
@@ -486,39 +468,19 @@ ShardedEngine::~ShardedEngine() = default;
 
 Status ShardedEngine::Create(const DatabaseSpec& spec) {
   if (created_) return Status::Internal("Create called twice");
-  spec_ = spec;
   router_ = std::make_unique<ShardRouter>(config_.shards, config_.seed,
                                           config_.plan);
   shards_.resize(config_.shards);
+  standbys_.Create(spec);
   for (uint32_t i = 0; i < config_.shards; ++i) {
     Shard& shard = shards_[i];
     HybridEngineConfig node = config_.node;
     node.name = config_.name + "/shard" + std::to_string(i);
-    shard.engine = MakeHybridEngine(std::move(node));
+    shard.engine = std::make_unique<HybridEngine>(std::move(node));
     HATTRICK_RETURN_IF_ERROR(shard.engine->Create(spec));
     if (config_.replicate) {
-      shard.standby = std::make_unique<Catalog>();
-      BuildCatalog(spec, /*with_indexes=*/true, shard.standby.get());
-      shard.standby_snapshot = std::make_unique<Catalog>();
-      BuildCatalog(spec, /*with_indexes=*/false, shard.standby_snapshot.get());
-      shard.stream = std::make_unique<WalStream>();
-      shard.replica =
-          std::make_unique<Replica>(shard.standby.get(), shard.stream.get());
-      if (config_.fault.enabled) {
-        // Mix the shard index into the seed: shards fail independently
-        // but each schedule stays seed-deterministic.
-        FaultConfig per_shard = config_.fault;
-        per_shard.seed =
-            config_.fault.seed ^
-            (0x9e3779b97f4a7c15ull * static_cast<uint64_t>(i + 1));
-        shard.injector = std::make_unique<FaultInjector>(per_shard);
-        shard.stream->SetFaultInjector(shard.injector.get());
-        shard.replica->SetFaultInjector(shard.injector.get());
-      }
-      TxnManager* manager = shard.engine->txn_manager();
-      shard.tee =
-          std::make_unique<TeeSink>(manager->sink(), shard.stream.get());
-      manager->set_sink(shard.tee.get());
+      standbys_.Attach(shard.engine->txn_manager(), i, 1);
+      shard.chain = &standbys_.chain(i);
     }
   }
   router_->Bind(*shards_[0].engine->primary_catalog());
@@ -536,8 +498,7 @@ Status ShardedEngine::BulkLoad(const std::string& table,
   auto load_shard = [&](uint32_t shard, const std::vector<Row>& part) {
     HATTRICK_RETURN_IF_ERROR(shards_[shard].engine->BulkLoad(table, part));
     if (config_.replicate) {
-      HATTRICK_RETURN_IF_ERROR(
-          BulkLoadInto(shards_[shard].standby.get(), table, part));
+      HATTRICK_RETURN_IF_ERROR(standbys_.BulkLoad(shard, table, part));
     }
     return Status::OK();
   };
@@ -567,11 +528,8 @@ Status ShardedEngine::FinishLoad() {
   if (loaded_) return Status::Internal("load already finished");
   for (Shard& shard : shards_) {
     HATTRICK_RETURN_IF_ERROR(shard.engine->FinishLoad());
-    if (config_.replicate) {
-      shard.standby_snapshot->CopyContentsFrom(*shard.standby);
-      shard.replica->ResetTo(/*lsn=*/0, /*ts=*/1);
-    }
   }
+  standbys_.FinishLoad();
   loaded_ = true;
   return Status::OK();
 }
@@ -587,7 +545,7 @@ TxnOutcome ShardedEngine::ExecuteTransaction(const TxnBody& body,
   }
   TxnOutcome outcome;
   Status last = Status::Internal("not run");
-  for (int attempt = 0; attempt <= config_.max_retries; ++attempt) {
+  for (int attempt = 0; attempt <= kMaxTxnRetries; ++attempt) {
     if (attempt > 0) {
       outcome.backoff_s +=
           TxnManager::RetryBackoffSeconds(client_id, txn_num, attempt - 1);
@@ -860,32 +818,9 @@ AnalyticsSession ShardedEngine::BeginAnalytics(WorkMeter* meter) {
 }
 
 bool ShardedEngine::MaintenanceStep(WorkMeter* meter) {
-  // Replication first: advance the furthest-behind healthy standby.
-  if (config_.replicate) {
-    Shard* laggard = nullptr;
-    for (Shard& shard : shards_) {
-      if (!shard.replica->last_error().ok()) continue;
-      if (shard.replica->Lag() == 0) continue;
-      if (laggard == nullptr ||
-          shard.replica->applied_lsn() < laggard->replica->applied_lsn()) {
-        laggard = &shard;
-      }
-    }
-    if (laggard != nullptr) {
-      switch (laggard->replica->Step(meter)) {
-        case Replica::StepResult::kApplied:
-        case Replica::StepResult::kDuplicateSkipped:
-        case Replica::StepResult::kResendRequested:
-        case Replica::StepResult::kRecovered:
-          return true;
-        case Replica::StepResult::kError:
-        case Replica::StepResult::kBackingOff:
-        case Replica::StepResult::kIdle:
-          break;
-      }
-    }
-  }
-  // Then the inner engines' own maintenance (bitmap-mode folds).
+  // Replication first, then the inner engines' own maintenance
+  // (bitmap-mode folds).
+  if (standbys_.Step(meter)) return true;
   for (Shard& shard : shards_) {
     if (shard.engine->MaintenanceStep(meter)) return true;
   }
@@ -893,27 +828,11 @@ bool ShardedEngine::MaintenanceStep(WorkMeter* meter) {
 }
 
 size_t ShardedEngine::MaintenancePending() const {
-  size_t pending = 0;
+  size_t pending = standbys_.Pending();
   for (const Shard& shard : shards_) {
     pending += shard.engine->MaintenancePending();
-    if (config_.replicate && shard.replica->last_error().ok()) {
-      pending += shard.replica->Lag();
-    }
   }
   return pending;
-}
-
-double ShardedEngine::BackpressureThrottle() const {
-  if (!config_.replicate) return 0;
-  size_t backlog = 0;
-  for (const Shard& shard : shards_) {
-    backlog = std::max(backlog, shard.stream->RetainedRecords());
-  }
-  if (backlog <= config_.max_backlog_records) return 0;
-  const double excess =
-      static_cast<double>(backlog - config_.max_backlog_records);
-  return std::min(config_.backpressure_stall_cap_s,
-                  config_.backpressure_stall_s * excess);
 }
 
 CommitWait ShardedEngine::CommitWaitFor(uint64_t lsn, uint64_t wal_bytes) {
@@ -922,24 +841,13 @@ CommitWait ShardedEngine::CommitWaitFor(uint64_t lsn, uint64_t wal_bytes) {
   // backlog grows too deep (plus any injected ship-delay fault).
   (void)wal_bytes;
   CommitWait wait;
-  double throttle = BackpressureThrottle();
-  for (const Shard& shard : shards_) {
-    if (shard.injector != nullptr) {
-      throttle = std::max(throttle, shard.injector->ShipDelaySeconds(lsn));
-    }
-  }
-  wait.throttle_s = throttle;
+  wait.throttle_s = standbys_.Throttle(lsn);
   return wait;
 }
 
 size_t ShardedEngine::Vacuum() {
-  size_t dropped = 0;
-  for (Shard& shard : shards_) {
-    dropped += shard.engine->Vacuum();
-    if (config_.replicate) {
-      dropped += shard.standby->VacuumAll(shard.replica->Snapshot());
-    }
-  }
+  size_t dropped = standbys_.Vacuum();
+  for (Shard& shard : shards_) dropped += shard.engine->Vacuum();
   return dropped;
 }
 
@@ -948,14 +856,13 @@ Status ShardedEngine::Reset() {
   // Drain any parked distributed transactions first: their reserved
   // commit slots would stall the inner engines' ordered tails forever.
   RecoverCoordinator();
+  std::vector<const Catalog*> post_load;
   for (Shard& shard : shards_) {
     HATTRICK_RETURN_IF_ERROR(shard.engine->Reset());
-    if (config_.replicate) {
-      shard.standby->CopyContentsFrom(*shard.standby_snapshot);
-      shard.stream->Reset();
-      shard.replica->ResetTo(/*lsn=*/0, /*ts=*/1);
-    }
+    post_load.push_back(&shard.engine->post_load_rows());
   }
+  // Each standby loaded exactly its shard primary's rows.
+  standbys_.Reset(post_load);
   two_pc_log_.Reset();
   next_gtid_.store(1, std::memory_order_relaxed);
   return Status::OK();
@@ -968,6 +875,7 @@ void ShardedEngine::OnObservabilityChanged() {
   for (Shard& shard : shards_) {
     shard.engine->SetObservability(obs_);
   }
+  if (config_.replicate) standbys_.SetObservability(obs_);
   if (obs_.metrics == nullptr) {
     prepares_metric_ = commits_2pc_metric_ = aborts_2pc_metric_ =
         recoveries_metric_ = nullptr;
@@ -982,11 +890,10 @@ void ShardedEngine::OnObservabilityChanged() {
     Shard* shard = &shards_[i];
     obs_.metrics
         ->GetGauge(std::string(obs::kShardBacklogPrefix) + std::to_string(i))
-        ->SetProbe([this, shard] {
-          if (config_.replicate) {
-            return static_cast<double>(shard->stream->RetainedRecords());
-          }
-          return static_cast<double>(shard->engine->MaintenancePending());
+        ->SetProbe([shard] {
+          return static_cast<double>(
+              shard->chain != nullptr ? shard->chain->stream->RetainedRecords()
+                                      : shard->engine->MaintenancePending());
         });
   }
 }

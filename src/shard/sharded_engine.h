@@ -11,6 +11,8 @@
 #include "common/thread_annotations.h"
 #include "engine/engine_config.h"
 #include "engine/htap_engine.h"
+#include "engine/hybrid_engine.h"
+#include "engine/standby.h"
 #include "fault/fault_injector.h"
 #include "replication/replica.h"
 #include "replication/wal_stream.h"
@@ -38,18 +40,15 @@ struct ShardedEngineConfig {
   std::string fact_table = "LINEORDER";
   /// Each shard node is one hybrid (row + column copy) engine.
   HybridEngineConfig node;
-  int max_retries = 50;
-  /// Per-shard replication chain (WAL stream -> row-store standby),
-  /// pumped by MaintenanceStep. Replication is asynchronous — a learner
-  /// tail like TiFlash's: it never gates commit visibility, only
-  /// backpressures commits once a standby's backlog grows too deep.
+  /// Per-shard replication chain (WAL stream -> row-store standby, from
+  /// engine/standby.h), pumped by MaintenanceStep. Replication is
+  /// asynchronous — a learner tail like TiFlash's: it never gates commit
+  /// visibility, only backpressures commits once a standby's backlog
+  /// grows too deep.
   bool replicate = true;
   /// Replication-layer fault injection (per-shard injectors with mixed
   /// seeds, as in IsolatedEngineConfig).
   FaultConfig fault;
-  size_t max_backlog_records = 4096;
-  double backpressure_stall_s = 20e-6;
-  double backpressure_stall_cap_s = 5e-3;
 };
 
 /// Coordinator crash injection for 2PC chaos tests: the next multi-shard
@@ -113,11 +112,13 @@ class ShardedEngine final : public HtapEngine {
   HtapEngine* shard_engine(uint32_t shard) {
     return shards_[shard].engine.get();
   }
+  /// Shard `shard`'s standby replica and shipping stream (replicate
+  /// only).
   Replica* shard_replica(uint32_t shard) {
-    return shards_[shard].replica.get();
+    return shards_[shard].chain->replica.get();
   }
   const WalStream* shard_stream(uint32_t shard) const {
-    return shards_[shard].stream.get();
+    return shards_[shard].chain->stream.get();
   }
   const TwoPcLog& two_pc_log() const { return two_pc_log_; }
 
@@ -142,14 +143,8 @@ class ShardedEngine final : public HtapEngine {
 
   /// One shard node: the inner engine plus its replication chain.
   struct Shard {
-    std::unique_ptr<HtapEngine> engine;
-    // Replication chain (null when !config_.replicate).
-    std::unique_ptr<Catalog> standby;           // row-store replica catalog
-    std::unique_ptr<Catalog> standby_snapshot;  // post-load state for Reset
-    std::unique_ptr<WalStream> stream;
-    std::unique_ptr<Replica> replica;
-    std::unique_ptr<FaultInjector> injector;
-    std::unique_ptr<WalSink> tee;  // inner sink + stream fan-out
+    std::unique_ptr<HybridEngine> engine;
+    StandbyChain* chain = nullptr;  // in standbys_; null if !replicate
   };
 
   /// Per-participant state of one distributed commit.
@@ -181,11 +176,9 @@ class ShardedEngine final : public HtapEngine {
   void ParkCrashed(uint64_t gtid, std::vector<Participant> participants,
                    bool decided, bool commit);
 
-  double BackpressureThrottle() const;
-
   ShardedEngineConfig config_;
-  DatabaseSpec spec_;
   std::vector<Shard> shards_;
+  StandbySet standbys_;  // chain i replicates shard i
   std::unique_ptr<ShardRouter> router_;
   TwoPcLog two_pc_log_;
   std::atomic<uint64_t> next_gtid_{1};

@@ -160,6 +160,82 @@ void RunHistory(IsolatedEngine* engine, uint64_t seed, int txns) {
   engine->replica(0)->CatchUp(nullptr);
 }
 
+std::unique_ptr<ShardedEngine> MakeShardedKvEngine(const FaultConfig& fault) {
+  ShardedEngineConfig config;
+  config.name = "faulted-sharded";
+  config.shards = 3;
+  config.plan = {{"kv", TablePlacement{Placement::kHashed, 0}}};
+  config.fact_table = "kv";
+  config.fault = fault;
+  auto engine = std::make_unique<ShardedEngine>(config);
+  EXPECT_TRUE(engine->Create(KvSpec()).ok());
+  std::vector<Row> rows;
+  for (int i = 0; i < 20; ++i) {
+    rows.push_back(Row{int64_t{i}, "seed" + std::to_string(i)});
+  }
+  EXPECT_TRUE(engine->BulkLoad("kv", rows).ok());
+  EXPECT_TRUE(engine->FinishLoad().ok());
+  return engine;
+}
+
+/// The sharded counterpart of RunHistory: routed inserts and value
+/// updates found through the primary key (a key-changing update would
+/// move the row's home shard), interleaved applier steps, then every
+/// shard's standby drained.
+void RunShardedHistory(ShardedEngine* engine, uint64_t seed, int txns) {
+  const IndexInfo* pk = engine->primary_catalog()->GetIndex("kv_pk");
+  ASSERT_NE(pk, nullptr);
+  Rng rng(seed);
+  std::vector<int64_t> keys;
+  for (int64_t key = 0; key < 20; ++key) keys.push_back(key);
+  int64_t next_key = 1000;
+  for (int i = 0; i < txns; ++i) {
+    WorkMeter meter;
+    TxnOutcome outcome;
+    if (rng.Bernoulli(0.5)) {
+      const int64_t key = next_key++;
+      outcome = engine->ExecuteTransaction(
+          [key, i](TxnContext* txn, WorkMeter*) {
+            txn->BufferInsert(0, Row{key, "ins" + std::to_string(i)});
+            return Status::OK();
+          },
+          1, static_cast<uint64_t>(i + 1), &meter);
+      if (outcome.status.ok()) keys.push_back(key);
+    } else {
+      const int64_t key = keys[static_cast<size_t>(
+          rng.Uniform(0, static_cast<int64_t>(keys.size()) - 1))];
+      outcome = engine->ExecuteTransaction(
+          [pk, key, i](TxnContext* txn, WorkMeter* m) -> Status {
+            Rid rid = 0;
+            Row row;
+            if (txn->IndexLookup(
+                    *pk, {Value(key)},
+                    [&](Rid r, const Row& visited) {
+                      rid = r;
+                      row = visited;
+                      return false;
+                    },
+                    m) == 0) {
+              return Status::NotFound("missing key");
+            }
+            txn->BufferUpdate(0, rid, row,
+                              Row{key, "upd" + std::to_string(i)});
+            return Status::OK();
+          },
+          1, static_cast<uint64_t>(i + 1), &meter);
+    }
+    ASSERT_TRUE(outcome.status.ok());
+    const int pumps = static_cast<int>(rng.Uniform(0, 2));
+    for (int p = 0; p < pumps; ++p) {
+      WorkMeter applier_meter;
+      engine->MaintenanceStep(&applier_meter);
+    }
+  }
+  for (uint32_t shard = 0; shard < engine->num_shards(); ++shard) {
+    engine->shard_replica(shard)->CatchUp(nullptr);
+  }
+}
+
 std::vector<Row> LatestContents(Catalog* catalog) {
   std::vector<Row> out;
   RowTable* table = catalog->GetTable("kv");
@@ -203,6 +279,41 @@ TEST(FaultConvergenceTest, FaultedRunMatchesFaultFreeRun) {
     // The standby index carries no stale keys: one entry per live row.
     EXPECT_EQ(faulted->replica(0)->catalog()->GetIndex("kv_pk")->tree->size(),
               LatestContents(faulted->replica(0)->catalog()).size());
+
+    // Sharded: every shard's standby converges to its shard primary and
+    // to the fault-free run's standby for that shard.
+    auto clean_sharded = MakeShardedKvEngine(FaultConfig{});
+    auto faulted_sharded = MakeShardedKvEngine(fault.value());
+    RunShardedHistory(clean_sharded.get(), /*seed=*/5, /*txns=*/200);
+    RunShardedHistory(faulted_sharded.get(), /*seed=*/5, /*txns=*/200);
+    uint64_t faults_fired = 0;
+    for (uint32_t shard = 0; shard < faulted_sharded->num_shards(); ++shard) {
+      const WalStream* stream = faulted_sharded->shard_stream(shard);
+      faults_fired += stream->injected_drops() +
+                      stream->injected_duplicates() +
+                      stream->injected_reorders() +
+                      faulted_sharded->shard_replica(shard)->crash_recoveries();
+    }
+    EXPECT_GT(faults_fired, 0u);  // else this leg proves nothing
+    for (uint32_t shard = 0; shard < faulted_sharded->num_shards(); ++shard) {
+      SCOPED_TRACE("shard " + std::to_string(shard));
+      Catalog* primary =
+          faulted_sharded->shard_engine(shard)->primary_catalog();
+      const Replica* standby = faulted_sharded->shard_replica(shard);
+      const Replica* clean_standby = clean_sharded->shard_replica(shard);
+      EXPECT_EQ(LatestContents(
+                    clean_sharded->shard_engine(shard)->primary_catalog()),
+                LatestContents(primary));
+      EXPECT_EQ(LatestContents(standby->catalog()), LatestContents(primary));
+      EXPECT_EQ(LatestContents(standby->catalog()),
+                LatestContents(clean_standby->catalog()));
+      EXPECT_EQ(standby->Lag(), 0u);
+      EXPECT_EQ(standby->applied_lsn(), clean_standby->applied_lsn());
+      EXPECT_TRUE(standby->last_error().ok())
+          << standby->last_error().ToString();
+      EXPECT_EQ(standby->catalog()->GetIndex("kv_pk")->tree->size(),
+                LatestContents(standby->catalog()).size());
+    }
   }
 }
 

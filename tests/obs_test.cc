@@ -21,6 +21,8 @@
 #include "obs/metrics.h"
 #include "obs/observability.h"
 #include "obs/trace.h"
+#include "shard/shard_router.h"
+#include "shard/sharded_engine.h"
 
 namespace hattrick {
 namespace {
@@ -473,6 +475,24 @@ TEST_F(ObsDriverTest, MetricsCoverDomainGroupsAndCountCommits) {
   EXPECT_NE(metrics.observed.Find("sim.pool.t-pool.utilization"), nullptr);
   EXPECT_GT(metrics.observed.ValueOf("sim.pool.t-pool.jobs_submitted"),
             0.0);
+}
+
+// The same replication group on the sharded design: every shard's
+// standby chain reports through the shared standby module.
+TEST_F(ObsDriverTest, ShardedRunReportsPerShardReplication) {
+  ShardedEngineConfig config;
+  config.shards = 3;
+  config.plan = MakeSsbShardPlan(TinyConfig().num_freshness_tables);
+  config.node = TidbConfig();
+  ShardedEngine engine{config};
+  ASSERT_TRUE(
+      LoadDataset(*dataset_, PhysicalSchema::kSemiIndexes, &engine).ok());
+  WorkloadContext context(*dataset_);
+  SimDriver driver(&engine, &context, ShardedSimSetup(3));
+  const RunMetrics metrics = driver.Run(QuickRun(4, 2));
+
+  EXPECT_GT(metrics.observed.CountOf(obs::kReplAppliedRecords), 0u);
+  EXPECT_GT(metrics.observed.ValueOf(obs::kReplShippedBytes), 0.0);
 }
 
 TEST_F(ObsDriverTest, HybridRunCountsMergesInMetrics) {

@@ -44,8 +44,9 @@
 //               (default: HATTRICK_MERGE_MODE env, else eager; ignored
 //               by non-hybrid systems)
 //   --fault-profile  none | drop | duplicate | reorder | crash | delay |
-//               chaos — replication fault injection (isolated systems
-//               only; default none)
+//               chaos — replication fault injection on the standby
+//               chains of postgres-sr, postgres-sr-ra and tidb-dist
+//               (per-shard chains); other systems ignore it (default none)
 //   --fault-seed     fault schedule seed               (default 1)
 //   --trace-out    write the run's span trace (point and query modes).
 //                  ".csv" writes a flat CSV; anything else writes Chrome
@@ -82,29 +83,6 @@ namespace tools {
 namespace {
 
 using bench::EngineKind;
-
-bool ParseSystem(const std::string& name, EngineKind* kind) {
-  static const std::pair<const char*, EngineKind> kSystems[] = {
-      {"postgres", EngineKind::kPostgres},
-      {"postgres-rc", EngineKind::kPostgresRC},
-      {"postgres-sr", EngineKind::kPostgresSR},
-      {"postgres-sr-ra", EngineKind::kPostgresSRRA},
-      {"system-x", EngineKind::kSystemX},
-      {"tidb", EngineKind::kTidb},
-      {"tidb-dist", EngineKind::kTidbDist},
-      // Design-class aliases (Section 2.2 of the paper).
-      {"shared", EngineKind::kPostgres},
-      {"isolated", EngineKind::kPostgresSR},
-      {"hybrid", EngineKind::kSystemX},
-  };
-  for (const auto& [key, value] : kSystems) {
-    if (name == key) {
-      *kind = value;
-      return true;
-    }
-  }
-  return false;
-}
 
 PhysicalSchema DefaultSchema(EngineKind kind) {
   switch (kind) {
@@ -210,7 +188,7 @@ int Main(int argc, char** argv) {
                                : flags.positional().front();
 
   EngineKind kind;
-  if (!ParseSystem(flags.GetString("system", "postgres"), &kind)) {
+  if (!bench::ParseEngineKind(flags.GetString("system", "postgres"), &kind)) {
     std::fprintf(stderr, "unknown --system\n");
     return Usage();
   }
