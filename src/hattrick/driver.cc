@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cassert>
 #include <cstdio>
 #include <cstdlib>
-#include <cassert>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -80,16 +81,382 @@ SimSetup ShardedSimSetup(uint32_t shards) {
 
 namespace {
 
-/// Per-run mutable state shared by the simulated clients.
-struct RunState {
-  RunState(HtapEngine* engine, WorkloadContext* context,
-           const SimSetup& setup, const WorkloadConfig& config)
+/// Back-off before a client re-issues after a transaction that exhausted
+/// its retries.
+constexpr double kFailedTxnBackoffSeconds = 1e-3;
+
+/// What the clients of one Run record: the run's metrics plus the raw
+/// freshness observations, scored after the run once every commit time
+/// is known.
+struct Tally {
+  RunMetrics metrics;
+  std::vector<FreshnessTracker::Observation> observations;
+};
+
+/// Folds `from` into `into`.
+void Merge(Tally* into, Tally* from) {
+  RunMetrics& m = into->metrics;
+  const RunMetrics& f = from->metrics;
+  m.committed += f.committed;
+  m.failed += f.failed;
+  m.aborts += f.aborts;
+  m.queries += f.queries;
+  m.lock_wait_seconds += f.lock_wait_seconds;
+  m.txn_latency.Merge(f.txn_latency);
+  m.query_latency.Merge(f.query_latency);
+  for (int t = 0; t < 3; ++t) {
+    m.committed_by_type[t] += f.committed_by_type[t];
+    m.aborts_by_type[t] += f.aborts_by_type[t];
+    m.txn_latency_by_type[t].Merge(f.txn_latency_by_type[t]);
+  }
+  for (int q = 0; q < kNumQueries; ++q) {
+    m.query_latency_by_id[q].Merge(f.query_latency_by_id[q]);
+    m.query_profiles[q].Accumulate(f.query_profiles[q]);
+  }
+  for (FreshnessTracker::Observation& obs : from->observations) {
+    into->observations.push_back(std::move(obs));
+  }
+}
+
+/// The clock-independent frame of one driver Run. Constructing it is the
+/// preamble both drivers share: the engine and workload reset to the
+/// initial database image (Section 6.1), a fresh metrics registry
+/// (so counters start at zero and same-seed runs snapshot byte-identical
+/// values), the trace's track names, and the engine's observability on
+/// the driver's clock. Finish() is the shared epilogue.
+///
+/// Clients record into tallies: one shared by every client, in event
+/// order (the simulator: Sampler sums and profile accumulation depend on
+/// insertion order), or one per client, merged in client order at Finish
+/// (real threads).
+class ClientRun {
+ public:
+  ClientRun(const char* driver, HtapEngine* engine, WorkloadContext* context,
+            const WorkloadConfig& config, const CostModel& cost,
+            obs::Tracer* tracer, const Clock* clock, bool tally_per_client)
       : engine(engine),
         context(context),
-        setup(setup),
         config(config),
-        handles(EngineHandles::Resolve(*engine->primary_catalog(),
-                                       context->num_freshness_tables)),
+        cost(cost),
+        tracer(tracer),
+        clock(clock),
+        tallies_(tally_per_client ? 1 + config.t_clients + config.a_clients
+                                  : 1) {
+    if (static_cast<uint32_t>(config.t_clients) >
+        context->num_freshness_tables) {
+      std::fprintf(stderr,
+                   "%s: %d T-clients exceed the %u FRESHNESS_j tables "
+                   "created at load time\n",
+                   driver, config.t_clients, context->num_freshness_tables);
+      std::abort();
+    }
+    Status reset = engine->Reset();
+    assert(reset.ok());
+    (void)reset;
+    context->Reset();
+    handles = EngineHandles::Resolve(*engine->primary_catalog(),
+                                     context->num_freshness_tables);
+    tracker.SetNumClients(
+        static_cast<uint32_t>(std::max(config.t_clients, 1)));
+    obs::PreRegisterDomainMetrics(&registry);
+    if (tracer != nullptr) {
+      tracer->Clear();
+      tracer->SetTrackName(obs::kTrackApplier, "wal-applier");
+      tracer->SetTrackName(obs::kTrackEngine, "engine");
+      for (int i = 0; i < config.t_clients; ++i) {
+        tracer->SetTrackName(obs::kTrackTClientBase + i,
+                             "t-client " + std::to_string(i + 1));
+      }
+      for (int i = 0; i < config.a_clients; ++i) {
+        tracer->SetTrackName(obs::kTrackAClientBase + i,
+                             "a-client " + std::to_string(i + 1));
+        for (int w = 0; w < config.dop && config.dop > 1; ++w) {
+          tracer->SetTrackName(
+              obs::MorselTrack(static_cast<uint32_t>(i),
+                               static_cast<uint32_t>(w)),
+              "a-client " + std::to_string(i + 1) + " way " +
+                  std::to_string(w));
+        }
+      }
+    }
+    engine->SetObservability(obs::Observability{&registry, tracer, clock});
+    // The run starts when the preamble ends: a wall clock has been
+    // running through the engine reset.
+    warmup_end = clock->Now() + config.warmup_seconds;
+    end = warmup_end + config.measure_seconds;
+  }
+  ClientRun(const ClientRun&) = delete;  // clients hold its address
+  ClientRun& operator=(const ClientRun&) = delete;
+
+  bool InWindow(TimePoint t) const { return t >= warmup_end && t <= end; }
+
+  /// The tally client `i` records into (T-clients first, then A-clients).
+  Tally* TallyOf(int i) { return &tallies_[tallies_.size() > 1 ? i + 1 : 0]; }
+
+  /// Merges the tallies, snapshots the registry (while the driver's
+  /// gauge probes are still alive), detaches the engine from it, and
+  /// derives throughput and freshness.
+  RunMetrics Finish() {
+    for (size_t i = 1; i < tallies_.size(); ++i) {
+      Merge(&tallies_[0], &tallies_[i]);
+    }
+    RunMetrics metrics = std::move(tallies_[0].metrics);
+    if (tracer != nullptr) {
+      registry.GetGauge(obs::kTraceDroppedSpans)
+          ->Set(static_cast<double>(tracer->dropped()));
+    }
+    metrics.observed = registry.Snapshot();
+    engine->SetObservability(obs::Observability{});
+    metrics.measure_seconds = config.measure_seconds;
+    metrics.t_throughput =
+        static_cast<double>(metrics.committed) / config.measure_seconds;
+    metrics.a_throughput =
+        static_cast<double>(metrics.queries) / config.measure_seconds;
+    for (const FreshnessTracker::Observation& obs : tallies_[0].observations) {
+      metrics.freshness.Add(tracker.Score(obs));
+    }
+    return metrics;
+  }
+
+  HtapEngine* const engine;
+  WorkloadContext* const context;
+  const WorkloadConfig& config;
+  const CostModel cost;
+  obs::Tracer* const tracer;
+  const Clock* const clock;
+  EngineHandles handles;
+  TimePoint warmup_end = 0;
+  TimePoint end = 0;
+  FreshnessTracker tracker;
+  obs::MetricsRegistry registry;
+
+ private:
+  std::vector<Tally> tallies_;
+};
+
+/// How a committed transaction's client waits before its result returns.
+struct CommitWaitPlan {
+  double delay = 0;  // seconds stalled before the result (or the apply wait)
+  std::optional<uint64_t> apply_lsn;  // REMOTE_APPLY: wait for this LSN
+  const char* span = nullptr;         // commit-wait child span, if any
+};
+
+/// One T-client (Section 5.3): NewOrder, Payment and CountOrders back to
+/// back, each stamping the client's freshness table with its sequence
+/// number. The driver owns the clock: it calls Issue, carries out the
+/// commit-wait plan, then calls Complete.
+class TClient {
+ public:
+  TClient(ClientRun* run, Tally* tally, uint32_t id, uint64_t seed)
+      : run_(run), tally_(tally), id_(id), rng_(seed) {}
+
+  /// Executes the next transaction for real, issued at `now`. Aborts and
+  /// a final failure are counted here; after a failure the driver backs
+  /// off kFailedTxnBackoffSeconds and issues again.
+  TxnOutcome Issue(TimePoint now, WorkMeter* meter) {
+    const TxnParams params = GenerateTxnParams(run_->context, &rng_);
+    ++txn_num_;
+    type_ = params.type;
+    issue_time_ = now;
+    const TxnBody body = MakeTxnBody(params, run_->handles, id_, txn_num_);
+    TxnOutcome outcome =
+        run_->engine->ExecuteTransaction(body, id_, txn_num_, meter);
+    const uint64_t aborts = static_cast<uint64_t>(outcome.attempts - 1);
+    tally_->metrics.aborts += aborts;
+    tally_->metrics.aborts_by_type[static_cast<int>(type_)] += aborts;
+    if (!outcome.status.ok()) ++tally_->metrics.failed;
+    return outcome;
+  }
+
+  /// Plans the commit wait of the committed `outcome`, which starts at
+  /// `now`. Backpressure throttles and injected ship delays stall the
+  /// client in addition to the commit wait itself. The per-transaction
+  /// network latency scales with the shards the transaction coordinated
+  /// across (one 2PC round trip per participant); single-node engines
+  /// always report shards_touched == 1.
+  CommitWaitPlan BeginCommitWait(const TxnOutcome& outcome, TimePoint now) {
+    CommitWaitPlan plan;
+    plan.delay = run_->cost.txn_extra_latency_us * 1e-6 *
+                     static_cast<double>(std::max(outcome.shards_touched, 1)) +
+                 outcome.wait.throttle_s;
+    switch (outcome.wait.kind) {
+      case CommitWait::Kind::kNone:
+        break;
+      case CommitWait::Kind::kShipDelay:
+        plan.span = "commit-wait-ship";
+        plan.delay += run_->cost.ShipDelaySeconds(outcome.wait.bytes);
+        break;
+      case CommitWait::Kind::kReplicaApplied:
+        plan.span = "commit-wait-apply";
+        plan.apply_lsn = outcome.wait.lsn;
+        break;
+    }
+    wait_span_ = plan.span;
+    wait_start_ = now;
+    return plan;
+  }
+
+  /// The transaction's result returns at `now`.
+  void Complete(TimePoint now) {
+    run_->tracker.RecordCommit(id_, txn_num_, now);
+    if (run_->InWindow(now)) {
+      ++tally_->metrics.committed;
+      ++tally_->metrics.committed_by_type[static_cast<int>(type_)];
+      const double latency = now - issue_time_;
+      tally_->metrics.txn_latency.Add(latency);
+      tally_->metrics.txn_latency_by_type[static_cast<int>(type_)].Add(
+          latency);
+    }
+    if (run_->tracer != nullptr) {
+      const uint32_t track = obs::kTrackTClientBase + (id_ - 1);
+      // Record the outer span first so the commit-wait child it contains
+      // follows it in the export's recording-order tiebreak.
+      run_->tracer->RecordSpan(TxnTypeName(type_), "txn", track, issue_time_,
+                               now,
+                               "\"txn_num\":" + std::to_string(txn_num_));
+      if (wait_span_ != nullptr) {
+        run_->tracer->RecordSpan(wait_span_, "txn", track, wait_start_, now);
+      }
+    }
+    wait_span_ = nullptr;
+  }
+
+  Tally* tally() const { return tally_; }
+
+ private:
+  ClientRun* run_;
+  Tally* tally_;
+  uint32_t id_;  // 1-based
+  Rng rng_;
+  uint64_t txn_num_ = 0;
+  TimePoint issue_time_ = 0;
+  TimePoint wait_start_ = 0;
+  const char* wait_span_ = nullptr;
+  TxnType type_ = TxnType::kNewOrder;
+};
+
+/// One A-client (Section 5.3): random permutations of the 13-query batch,
+/// each query reading back the freshness stamps it saw.
+class AClient {
+ public:
+  AClient(ClientRun* run, Tally* tally, uint32_t index, uint64_t seed)
+      : run_(run), tally_(tally), index_(index), rng_(seed) {
+    for (int i = 0; i < kNumQueries; ++i) batch_[i] = i;
+  }
+
+  /// The next query of the current permutation; a new random permutation
+  /// starts after each full batch.
+  int NextQuery() {
+    if (batch_pos_ >= kNumQueries) {
+      for (int i = kNumQueries - 1; i > 0; --i) {
+        std::swap(batch_[i], batch_[rng_.Uniform(0, i)]);
+      }
+      batch_pos_ = 0;
+    }
+    return batch_[batch_pos_++];
+  }
+
+  /// Runs query `qid` for real on a fresh analytics session. `ctx` comes
+  /// with the caller's work meter and the driver's morsel and trace
+  /// settings; the run's execution settings are filled in here.
+  QueryResult Execute(int qid, ExecContext* ctx) {
+    AnalyticsSession session = run_->engine->BeginAnalytics(ctx->meter);
+    ctx->dop = run_->config.dop;
+    ctx->vectorized = run_->config.vectorized;
+    if (run_->config.batch_rows > 0) {
+      ctx->batch_rows = static_cast<size_t>(run_->config.batch_rows);
+    }
+    ctx->session_pin = session.guard;
+    // Per-execution profile on the run's clock. On the virtual clock no
+    // time elapses during RunQuery, so the timing columns are zero — the
+    // tree, row counts and work-meter attribution are the payload, and
+    // they fold deterministically into the per-query aggregate.
+    obs::PlanProfile profile(run_->clock);
+    if (run_->config.profile_queries) ctx->profile = &profile;
+    QueryResult result = RunQuery(qid, *session.source,
+                                  run_->context->num_freshness_tables, ctx);
+    ctx->profile = nullptr;
+    ctx->session_pin.reset();
+    session.source.reset();
+    session.guard.reset();
+    if (run_->config.profile_queries) {
+      tally_->metrics.query_profiles[qid].Accumulate(profile);
+      if (run_->tracer != nullptr) {
+        profile.EmitSpans(run_->tracer, obs::kTrackAClientBase + index_);
+      }
+    }
+    return result;
+  }
+
+  /// Query `qid`, issued at `issue`, returns `result` at `now`.
+  void Complete(int qid, TimePoint issue, TimePoint now,
+                const QueryResult& result) {
+    if (run_->tracer != nullptr) {
+      run_->tracer->RecordSpan(
+          QueryName(qid), "query", obs::kTrackAClientBase + index_, issue,
+          now, "\"dop\":" + std::to_string(run_->config.dop));
+    }
+    if (!run_->InWindow(now)) return;
+    ++tally_->metrics.queries;
+    const double latency = now - issue;
+    tally_->metrics.query_latency.Add(latency);
+    tally_->metrics.query_latency_by_id[qid].Add(latency);
+    FreshnessTracker::Observation obs;
+    obs.query_start = issue;
+    obs.seen.assign(result.freshness.begin(),
+                    result.freshness.begin() +
+                        std::min<size_t>(result.freshness.size(),
+                                         static_cast<size_t>(
+                                             run_->config.t_clients)));
+    tally_->observations.push_back(std::move(obs));
+  }
+
+  uint32_t index() const { return index_; }  // 0-based
+
+ private:
+  ClientRun* run_;
+  Tally* tally_;
+  uint32_t index_;
+  Rng rng_;
+  int batch_[kNumQueries];
+  int batch_pos_ = kNumQueries;  // shuffle on the first query
+};
+
+/// Every client of one Run. Both drivers seed them alike: T-clients 1..n
+/// draw from Rng(config.seed) first, then the A-clients.
+struct Clients {
+  explicit Clients(ClientRun* run) {
+    const int n_t = run->config.t_clients;
+    Rng seeder(run->config.seed);
+    t.reserve(n_t);
+    a.reserve(run->config.a_clients);
+    for (int i = 0; i < n_t; ++i) {
+      t.emplace_back(run, run->TallyOf(i), i + 1, seeder.Next());
+    }
+    for (int i = 0; i < run->config.a_clients; ++i) {
+      a.emplace_back(run, run->TallyOf(n_t + i), i, seeder.Next());
+    }
+  }
+  Clients(const Clients&) = delete;  // drivers hold client addresses
+  Clients& operator=(const Clients&) = delete;
+
+  std::vector<TClient> t;
+  std::vector<AClient> a;
+};
+
+// ---------------------------------------------------------------------------
+// Virtual-time driver.
+// ---------------------------------------------------------------------------
+
+/// Per-run state of the simulated deployment: the event loop, core pools,
+/// row-lock model and the standby applier pump.
+struct RunState {
+  RunState(HtapEngine* engine, WorkloadContext* context,
+           const SimSetup& setup, const WorkloadConfig& config,
+           obs::Tracer* tracer)
+      : setup(setup),
+        run("SimDriver", engine, context, config, setup.cost, tracer,
+            sim.clock(), /*tally_per_client=*/false),
         t_pool(&sim, "t-pool", setup.t_cores),
         a_pool_storage(
             setup.separate_pools
@@ -97,33 +464,20 @@ struct RunState {
                 : nullptr),
         a_pool(setup.separate_pools ? a_pool_storage.get() : &t_pool),
         locks(setup.lock_hold_fraction) {
-    warmup_end = config.warmup_seconds;
-    end = config.warmup_seconds + config.measure_seconds;
-    tracker.SetNumClients(
-        static_cast<uint32_t>(std::max(config.t_clients, 1)));
+    t_pool.RegisterMetrics(&run.registry);
+    if (a_pool_storage != nullptr) {
+      a_pool_storage->RegisterMetrics(&run.registry);
+    }
   }
 
-  bool InWindow(TimePoint t) const { return t >= warmup_end && t <= end; }
-
-  HtapEngine* engine;
-  WorkloadContext* context;
   const SimSetup& setup;
-  const WorkloadConfig& config;
-  EngineHandles handles;
-
-  Simulation sim;
+  Simulation sim;  // before `run`, which reads its virtual clock
+  ClientRun run;
   CorePool t_pool;
   std::unique_ptr<CorePool> a_pool_storage;
   CorePool* a_pool;
   RowLockModel locks;
   LsnWaitQueue lsn_waits;
-  FreshnessTracker tracker;
-  obs::Observability obs;  // clock == sim's virtual clock
-
-  std::vector<FreshnessTracker::Observation> observations;
-  RunMetrics metrics;
-  TimePoint warmup_end = 0;
-  TimePoint end = 0;
   bool applier_idle = true;
 
   void WakeApplier();
@@ -132,8 +486,8 @@ struct RunState {
 
 void RunState::ApplierPump() {
   WorkMeter meter;
-  if (!engine->MaintenanceStep(&meter)) {
-    if (engine->MaintenancePending() > 0) {
+  if (!run.engine->MaintenanceStep(&meter)) {
+    if (run.engine->MaintenancePending() > 0) {
       // Backing off from a replication fault with records still
       // outstanding: poll again shortly rather than parking (a parked
       // applier would deadlock REMOTE_APPLY clients waiting on a
@@ -144,12 +498,12 @@ void RunState::ApplierPump() {
     applier_idle = true;
     return;
   }
-  const uint64_t applied = engine->applied_lsn();
+  const uint64_t applied = run.engine->applied_lsn();
   const double cpu = setup.cost.ReplayCpuSeconds(meter);
   const TimePoint submit = sim.Now();
   a_pool->Submit(cpu, [this, applied, submit] {
-    if (obs.tracer != nullptr) {
-      obs.tracer->RecordSpan("wal-replay", "repl", obs::kTrackApplier, submit,
+    if (run.tracer != nullptr) {
+      run.tracer->RecordSpan("wal-replay", "repl", obs::kTrackApplier, submit,
                              sim.Now(),
                              "\"lsn\":" + std::to_string(applied));
     }
@@ -164,34 +518,22 @@ void RunState::WakeApplier() {
   ApplierPump();
 }
 
-/// A simulated transactional client: issues transactions back-to-back,
-/// executing each for real against the engine at issue time and modeling
-/// its duration (CPU on the T pool + lock waits + commit waits).
+/// A TClient on the virtual clock: each transaction executes for real at
+/// issue time, and its duration is modeled as CPU on the T pool plus
+/// row-lock waits plus the commit wait.
 class SimTClient {
  public:
-  SimTClient(RunState* s, uint32_t id, uint64_t seed)
-      : s_(s), id_(id), rng_(seed) {}
+  SimTClient(RunState* s, TClient* client) : s_(s), client_(client) {}
 
   void Start() { IssueNext(); }
 
  private:
   void IssueNext() {
-    if (s_->sim.Now() >= s_->end) return;
-    const TxnParams params = GenerateTxnParams(s_->context, &rng_);
-    ++txn_num_;
-    type_ = params.type;
-    issue_time_ = s_->sim.Now();
-
+    if (s_->sim.Now() >= s_->run.end) return;
     WorkMeter meter;
-    const TxnBody body = MakeTxnBody(params, s_->handles, id_, txn_num_);
-    TxnOutcome outcome =
-        s_->engine->ExecuteTransaction(body, id_, txn_num_, &meter);
-    const uint64_t aborts = static_cast<uint64_t>(outcome.attempts - 1);
-    s_->metrics.aborts += aborts;
-    s_->metrics.aborts_by_type[static_cast<int>(params.type)] += aborts;
+    TxnOutcome outcome = client_->Issue(s_->sim.Now(), &meter);
     if (!outcome.status.ok()) {
-      ++s_->metrics.failed;
-      s_->sim.Schedule(1e-3, [this] { IssueNext(); });  // back off, retry
+      s_->sim.Schedule(kFailedTxnBackoffSeconds, [this] { IssueNext(); });
       return;
     }
     if (outcome.lsn != 0) s_->WakeApplier();
@@ -212,7 +554,7 @@ class SimTClient {
         outcome.delta_keys, s_->sim.Now(), cpu * inflation,
         s_->setup.delta_hold_fraction);
     const double lock_wait = std::max(full_wait, delta_wait);
-    s_->metrics.lock_wait_seconds += lock_wait;
+    client_->tally()->metrics.lock_wait_seconds += lock_wait;
     // Retry backoff accrued by the real engine execution is replayed as
     // simulated think time before the service begins.
     const double pre_service = lock_wait + outcome.backoff_s;
@@ -229,35 +571,15 @@ class SimTClient {
   }
 
   void OnCpuDone(const TxnOutcome& outcome) {
-    // Backpressure throttles and injected ship delays stall the client
-    // in addition to the commit wait itself. The per-transaction network
-    // latency scales with the shards the transaction coordinated across
-    // (one 2PC round trip per participant); single-node engines always
-    // report shards_touched == 1.
-    const double extra =
-        s_->setup.cost.txn_extra_latency_us * 1e-6 *
-            static_cast<double>(std::max(outcome.shards_touched, 1)) +
-        outcome.wait.throttle_s;
-    switch (outcome.wait.kind) {
-      case CommitWait::Kind::kNone:
-        wait_name_ = nullptr;
-        Defer(extra, [this] { Finish(); });
-        return;
-      case CommitWait::Kind::kShipDelay:
-        wait_name_ = "commit-wait-ship";
-        wait_start_ = s_->sim.Now();
-        Defer(extra + s_->setup.cost.ShipDelaySeconds(outcome.wait.bytes),
-              [this] { Finish(); });
-        return;
-      case CommitWait::Kind::kReplicaApplied: {
-        wait_name_ = "commit-wait-apply";
-        wait_start_ = s_->sim.Now();
-        const uint64_t lsn = outcome.wait.lsn;
-        Defer(extra, [this, lsn] {
-          s_->lsn_waits.WaitFor(lsn, [this] { Finish(); });
-        });
-        return;
-      }
+    const CommitWaitPlan plan =
+        client_->BeginCommitWait(outcome, s_->sim.Now());
+    if (plan.apply_lsn.has_value()) {
+      const uint64_t lsn = *plan.apply_lsn;
+      Defer(plan.delay, [this, lsn] {
+        s_->lsn_waits.WaitFor(lsn, [this] { Finish(); });
+      });
+    } else {
+      Defer(plan.delay, [this] { Finish(); });
     }
   }
 
@@ -270,144 +592,67 @@ class SimTClient {
   }
 
   void Finish() {
-    const TimePoint now = s_->sim.Now();
-    s_->tracker.RecordCommit(id_, txn_num_, now);
-    if (s_->InWindow(now)) {
-      ++s_->metrics.committed;
-      ++s_->metrics.committed_by_type[static_cast<int>(type_)];
-      const double latency = now - issue_time_;
-      s_->metrics.txn_latency.Add(latency);
-      s_->metrics.txn_latency_by_type[static_cast<int>(type_)].Add(latency);
-    }
-    if (s_->obs.tracer != nullptr) {
-      const uint32_t track = obs::kTrackTClientBase + (id_ - 1);
-      // Record the outer span first so the commit-wait child it contains
-      // follows it in the export's recording-order tiebreak.
-      s_->obs.tracer->RecordSpan(
-          TxnTypeName(type_), "txn", track, issue_time_, now,
-          "\"txn_num\":" + std::to_string(txn_num_));
-      if (wait_name_ != nullptr) {
-        s_->obs.tracer->RecordSpan(wait_name_, "txn", track, wait_start_,
-                                   now);
-      }
-    }
-    wait_name_ = nullptr;
+    client_->Complete(s_->sim.Now());
     IssueNext();
   }
 
   RunState* s_;
-  uint32_t id_;  // 1-based
-  Rng rng_;
-  uint64_t txn_num_ = 0;
-  TimePoint issue_time_ = 0;
-  TimePoint wait_start_ = 0;
-  const char* wait_name_ = nullptr;
-  TxnType type_ = TxnType::kNewOrder;
+  TClient* client_;
 };
 
-/// A simulated analytical client: runs random permutations of the
-/// 13-query batch (Section 5.3), executing each query for real at issue
-/// time and modeling its duration on the A pool.
+/// An AClient on the virtual clock: each query executes for real at
+/// issue time, and its duration is modeled on the A pool.
 class SimAClient {
  public:
-  SimAClient(RunState* s, uint32_t index, uint64_t seed)
-      : s_(s), index_(index), rng_(seed) {
-    for (int i = 0; i < kNumQueries; ++i) batch_[i] = i;
-    batch_pos_ = kNumQueries;  // force a shuffle on first issue
-  }
+  SimAClient(RunState* s, AClient* client) : s_(s), client_(client) {}
 
   void Start() { IssueNext(); }
 
  private:
   void IssueNext() {
-    if (s_->sim.Now() >= s_->end) return;
-    if (batch_pos_ >= kNumQueries) {
-      // New random permutation of the batch.
-      for (int i = kNumQueries - 1; i > 0; --i) {
-        std::swap(batch_[i], batch_[rng_.Uniform(0, i)]);
-      }
-      batch_pos_ = 0;
-    }
-    const int qid = batch_[batch_pos_++];
+    if (s_->sim.Now() >= s_->run.end) return;
+    const int qid = client_->NextQuery();
     const TimePoint issue_time = s_->sim.Now();
-
     WorkMeter meter;
-    AnalyticsSession session = s_->engine->BeginAnalytics(&meter);
-    ExecContext ctx{&meter};
+    ExecContext ctx;
+    ctx.meter = &meter;
     // Static morsel assignment keeps the metered work (and thus the
     // simulated duration) a pure function of the data — never of how the
     // host scheduled the worker threads.
-    ctx.dop = s_->config.dop;
     ctx.dynamic_morsels = false;
-    ctx.vectorized = s_->config.vectorized;
-    if (s_->config.batch_rows > 0) {
-      ctx.batch_rows = static_cast<size_t>(s_->config.batch_rows);
-    }
-    ctx.session_pin = session.guard;
-    // Per-execution profile on the virtual clock: during RunQuery no
-    // virtual time elapses, so the timing columns are zero — the tree,
-    // row counts and work-meter attribution are the payload, and they
-    // fold deterministically into the run's per-query aggregate.
-    obs::PlanProfile profile(s_->sim.clock());
-    if (s_->config.profile_queries) ctx.profile = &profile;
-    QueryResult result = RunQuery(qid, *session.source,
-                                  s_->context->num_freshness_tables, &ctx);
-    ctx.session_pin.reset();
-    session.source.reset();
-    session.guard.reset();
-    if (s_->config.profile_queries) {
-      s_->metrics.query_profiles[qid].Accumulate(profile);
-      if (s_->obs.tracer != nullptr) {
-        profile.EmitSpans(s_->obs.tracer, obs::kTrackAClientBase + index_);
-      }
-    }
+    QueryResult result = client_->Execute(qid, &ctx);
 
     const double cpu = s_->setup.cost.QueryCpuSeconds(meter);
     s_->a_pool->SubmitParallel(
-        cpu, s_->config.dop,
+        cpu, s_->run.config.dop,
         [this, qid, issue_time, result = std::move(result)] {
           const TimePoint now = s_->sim.Now();
-          if (s_->obs.tracer != nullptr) {
-            s_->obs.tracer->RecordSpan(
-                QueryName(qid), "query", obs::kTrackAClientBase + index_,
-                issue_time, now, "\"dop\":" + std::to_string(s_->config.dop));
-            // All pieces of a SubmitParallel batch progress at the same
-            // rate from the same demand, so each way's span is exactly
-            // [submission, completion] — see CorePool::SubmitParallel.
-            if (s_->config.dop > 1) {
-              for (int w = 0; w < s_->config.dop; ++w) {
-                s_->obs.tracer->RecordSpan(
-                    "morsel-way", "morsel",
-                    obs::MorselTrack(index_, static_cast<uint32_t>(w)),
-                    issue_time, now, "\"way\":" + std::to_string(w));
-              }
+          client_->Complete(qid, issue_time, now, result);
+          // All pieces of a SubmitParallel batch progress at the same
+          // rate from the same demand, so each way's span is exactly
+          // [submission, completion] — see CorePool::SubmitParallel.
+          const int dop = s_->run.config.dop;
+          if (s_->run.tracer != nullptr && dop > 1) {
+            for (int w = 0; w < dop; ++w) {
+              s_->run.tracer->RecordSpan(
+                  "morsel-way", "morsel",
+                  obs::MorselTrack(client_->index(),
+                                   static_cast<uint32_t>(w)),
+                  issue_time, now, "\"way\":" + std::to_string(w));
             }
-          }
-          if (s_->InWindow(now)) {
-            ++s_->metrics.queries;
-            const double latency = now - issue_time;
-            s_->metrics.query_latency.Add(latency);
-            s_->metrics.query_latency_by_id[qid].Add(latency);
-            FreshnessTracker::Observation obs;
-            obs.query_start = issue_time;
-            obs.seen.assign(
-                result.freshness.begin(),
-                result.freshness.begin() +
-                    std::min<size_t>(result.freshness.size(),
-                                     static_cast<size_t>(
-                                         s_->config.t_clients)));
-            s_->observations.push_back(std::move(obs));
           }
           IssueNext();
         });
   }
 
   RunState* s_;
-  uint32_t index_;  // 0-based
-  Rng rng_;
-  int batch_[kNumQueries];
-  int batch_pos_ = 0;
+  AClient* client_;
 };
+
+/// Sleeps the calling thread for `seconds` of wall time.
+void SleepSeconds(double seconds) {
+  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
+}
 
 }  // namespace
 
@@ -416,181 +661,40 @@ SimDriver::SimDriver(HtapEngine* engine, WorkloadContext* context,
     : engine_(engine), context_(context), setup_(std::move(setup)) {}
 
 RunMetrics SimDriver::Run(const WorkloadConfig& config) {
-  if (static_cast<uint32_t>(config.t_clients) >
-      context_->num_freshness_tables) {
-    std::fprintf(stderr,
-                 "SimDriver: %d T-clients exceed the %u FRESHNESS_j "
-                 "tables created at load time\n",
-                 config.t_clients, context_->num_freshness_tables);
-    std::abort();
-  }
-  // Reset to the initial database image (Section 6.1).
-  Status reset = engine_->Reset();
-  assert(reset.ok());
-  (void)reset;
-  context_->Reset();
-
-  RunState state(engine_, context_, setup_, config);
-  Rng seeder(config.seed);
-
-  // Per-run observability: a fresh registry every Run (so counters start
-  // at zero and same-seed runs snapshot byte-identical values), spans on
-  // the simulation's virtual clock.
-  obs::MetricsRegistry registry;
-  obs::PreRegisterDomainMetrics(&registry);
-  state.t_pool.RegisterMetrics(&registry);
-  if (state.a_pool_storage != nullptr) {
-    state.a_pool_storage->RegisterMetrics(&registry);
-  }
-  if (tracer_ != nullptr) {
-    tracer_->Clear();
-    tracer_->SetTrackName(obs::kTrackApplier, "wal-applier");
-    tracer_->SetTrackName(obs::kTrackEngine, "engine");
-    for (int i = 0; i < config.t_clients; ++i) {
-      tracer_->SetTrackName(obs::kTrackTClientBase + i,
-                            "t-client " + std::to_string(i + 1));
-    }
-    for (int i = 0; i < config.a_clients; ++i) {
-      tracer_->SetTrackName(obs::kTrackAClientBase + i,
-                            "a-client " + std::to_string(i + 1));
-      for (int w = 0; w < config.dop && config.dop > 1; ++w) {
-        tracer_->SetTrackName(
-            obs::MorselTrack(static_cast<uint32_t>(i),
-                             static_cast<uint32_t>(w)),
-            "a-client " + std::to_string(i + 1) + " way " +
-                std::to_string(w));
-      }
-    }
-  }
-  state.obs = obs::Observability{&registry, tracer_, state.sim.clock()};
-  engine_->SetObservability(state.obs);
-
+  RunState state(engine_, context_, setup_, config, tracer_);
+  Clients clients(&state.run);
+  // Stagger client starts slightly to avoid artificial lockstep.
   std::vector<std::unique_ptr<SimTClient>> t_clients;
-  t_clients.reserve(config.t_clients);
-  for (int i = 0; i < config.t_clients; ++i) {
-    t_clients.push_back(std::make_unique<SimTClient>(
-        &state, static_cast<uint32_t>(i + 1), seeder.Next()));
+  for (size_t i = 0; i < clients.t.size(); ++i) {
+    t_clients.push_back(std::make_unique<SimTClient>(&state, &clients.t[i]));
+    state.sim.Schedule(static_cast<double>(i) * 13e-6,
+                       [client = t_clients.back().get()] { client->Start(); });
   }
   std::vector<std::unique_ptr<SimAClient>> a_clients;
-  a_clients.reserve(config.a_clients);
-  for (int i = 0; i < config.a_clients; ++i) {
-    a_clients.push_back(std::make_unique<SimAClient>(
-        &state, static_cast<uint32_t>(i), seeder.Next()));
-  }
-
-  // Stagger client starts slightly to avoid artificial lockstep.
-  for (size_t i = 0; i < t_clients.size(); ++i) {
-    SimTClient* client = t_clients[i].get();
-    state.sim.Schedule(static_cast<double>(i) * 13e-6,
-                       [client] { client->Start(); });
-  }
-  for (size_t i = 0; i < a_clients.size(); ++i) {
-    SimAClient* client = a_clients[i].get();
+  for (size_t i = 0; i < clients.a.size(); ++i) {
+    a_clients.push_back(std::make_unique<SimAClient>(&state, &clients.a[i]));
     state.sim.Schedule(static_cast<double>(i) * 17e-6,
-                       [client] { client->Start(); });
+                       [client = a_clients.back().get()] { client->Start(); });
   }
 
   // Clients stop issuing at `end`; remaining events drain afterwards.
   state.sim.RunToCompletion();
-
-  RunMetrics metrics = std::move(state.metrics);
-  // Snapshot while the pools (whose gauges probe into `state`) are still
-  // alive, then detach the engine from the run-local registry.
-  if (tracer_ != nullptr) {
-    registry.GetGauge(obs::kTraceDroppedSpans)
-        ->Set(static_cast<double>(tracer_->dropped()));
-  }
-  metrics.observed = registry.Snapshot();
-  engine_->SetObservability(obs::Observability{});
-  metrics.measure_seconds = config.measure_seconds;
-  metrics.t_throughput =
-      static_cast<double>(metrics.committed) / config.measure_seconds;
-  metrics.a_throughput =
-      static_cast<double>(metrics.queries) / config.measure_seconds;
-  for (const FreshnessTracker::Observation& obs : state.observations) {
-    metrics.freshness.Add(state.tracker.Score(obs));
-  }
-  return metrics;
+  return state.run.Finish();
 }
 
 // ---------------------------------------------------------------------------
 // Wall-clock driver.
 // ---------------------------------------------------------------------------
 
-ThreadedDriver::ThreadedDriver(HtapEngine* engine, WorkloadContext* context,
-                               double ship_delay_seconds)
-    : engine_(engine),
-      context_(context),
-      ship_delay_seconds_(ship_delay_seconds) {}
+ThreadedDriver::ThreadedDriver(HtapEngine* engine, WorkloadContext* context)
+    : engine_(engine), context_(context) {}
 
 RunMetrics ThreadedDriver::Run(const WorkloadConfig& config) {
-  if (static_cast<uint32_t>(config.t_clients) >
-      context_->num_freshness_tables) {
-    std::fprintf(stderr,
-                 "ThreadedDriver: %d T-clients exceed the %u FRESHNESS_j "
-                 "tables created at load time\n",
-                 config.t_clients, context_->num_freshness_tables);
-    std::abort();
-  }
-  Status reset = engine_->Reset();
-  assert(reset.ok());
-  (void)reset;
-  context_->Reset();
-
-  const EngineHandles handles = EngineHandles::Resolve(
-      *engine_->primary_catalog(), context_->num_freshness_tables);
   WallClock clock;
-  FreshnessTracker tracker;
-  tracker.SetNumClients(static_cast<uint32_t>(std::max(config.t_clients, 1)));
-
-  // Per-run observability: same API as the simulated driver, but spans
-  // record wall time (the injected clock is the WallClock above).
-  obs::MetricsRegistry registry;
-  obs::PreRegisterDomainMetrics(&registry);
-  if (tracer_ != nullptr) {
-    tracer_->Clear();
-    tracer_->SetTrackName(obs::kTrackApplier, "wal-applier");
-    tracer_->SetTrackName(obs::kTrackEngine, "engine");
-    for (int i = 0; i < config.t_clients; ++i) {
-      tracer_->SetTrackName(obs::kTrackTClientBase + i,
-                            "t-client " + std::to_string(i + 1));
-    }
-    for (int i = 0; i < config.a_clients; ++i) {
-      tracer_->SetTrackName(obs::kTrackAClientBase + i,
-                            "a-client " + std::to_string(i + 1));
-      for (int w = 0; w < config.dop && config.dop > 1; ++w) {
-        tracer_->SetTrackName(
-            obs::MorselTrack(static_cast<uint32_t>(i),
-                             static_cast<uint32_t>(w)),
-            "a-client " + std::to_string(i + 1) + " way " +
-                std::to_string(w));
-      }
-    }
-  }
-  engine_->SetObservability(obs::Observability{&registry, tracer_, &clock});
-
-  const double warmup_end = config.warmup_seconds;
-  const double end = config.warmup_seconds + config.measure_seconds;
+  ClientRun run("ThreadedDriver", engine_, context_, config, CostModel{},
+                tracer_, &clock, /*tally_per_client=*/true);
+  Clients clients(&run);
   std::atomic<bool> stop{false};
-
-  struct TLocal {
-    uint64_t committed = 0;
-    uint64_t failed = 0;
-    uint64_t aborts = 0;
-    uint64_t committed_by_type[3] = {0, 0, 0};
-    uint64_t aborts_by_type[3] = {0, 0, 0};
-    Sampler latency;
-    Sampler latency_by_type[3];
-  };
-  struct ALocal {
-    uint64_t queries = 0;
-    Sampler latency;
-    Sampler latency_by_id[kNumQueries];
-    std::vector<FreshnessTracker::Observation> observations;
-    obs::PlanProfile profiles[kNumQueries];  // this client's aggregates
-  };
-  std::vector<TLocal> t_locals(config.t_clients);
-  std::vector<ALocal> a_locals(config.a_clients);
 
   // Applier thread (isolated engine): replays WAL continuously.
   std::thread applier([&] {
@@ -603,174 +707,50 @@ RunMetrics ThreadedDriver::Run(const WorkloadConfig& config) {
   });
 
   std::vector<std::thread> threads;
-  threads.reserve(config.t_clients + config.a_clients);
-  for (int i = 0; i < config.t_clients; ++i) {
-    threads.emplace_back([&, i] {
-      const uint32_t id = static_cast<uint32_t>(i + 1);
-      Rng rng(config.seed * 7919 + id);
-      TLocal& local = t_locals[i];
-      uint64_t txn_num = 0;
-      while (clock.Now() < end) {
-        const TxnParams params = GenerateTxnParams(context_, &rng);
-        ++txn_num;
-        const double issue = clock.Now();
+  threads.reserve(clients.t.size() + clients.a.size());
+  for (TClient& client : clients.t) {
+    threads.emplace_back([&, c = &client] {
+      while (clock.Now() < run.end) {
         WorkMeter meter;
-        const TxnBody body = MakeTxnBody(params, handles, id, txn_num);
-        TxnOutcome outcome =
-            engine_->ExecuteTransaction(body, id, txn_num, &meter);
-        const uint64_t aborts = static_cast<uint64_t>(outcome.attempts - 1);
-        local.aborts += aborts;
-        local.aborts_by_type[static_cast<int>(params.type)] += aborts;
+        const TxnOutcome outcome = c->Issue(clock.Now(), &meter);
         if (!outcome.status.ok()) {
-          ++local.failed;
+          SleepSeconds(kFailedTxnBackoffSeconds);
           continue;
         }
-        if (outcome.wait.throttle_s > 0) {  // backpressure / injected delay
-          std::this_thread::sleep_for(
-              std::chrono::duration<double>(outcome.wait.throttle_s));
-        }
-        switch (outcome.wait.kind) {
-          case CommitWait::Kind::kNone:
-            break;
-          case CommitWait::Kind::kShipDelay: {
-            const auto delay = std::chrono::duration<double>(
-                ship_delay_seconds_);
-            std::this_thread::sleep_for(delay);
-            break;
+        const CommitWaitPlan plan = c->BeginCommitWait(outcome, clock.Now());
+        if (plan.delay > 0) SleepSeconds(plan.delay);
+        if (plan.apply_lsn.has_value()) {
+          while (!engine_->IsApplied(*plan.apply_lsn)) {
+            std::this_thread::yield();
           }
-          case CommitWait::Kind::kReplicaApplied:
-            while (!engine_->IsApplied(outcome.wait.lsn)) {
-              std::this_thread::yield();
-            }
-            break;
         }
-        const double now = clock.Now();
-        tracker.RecordCommit(id, txn_num, now);
-        if (tracer_ != nullptr) {
-          tracer_->RecordSpan(TxnTypeName(params.type), "txn",
-                              obs::kTrackTClientBase + static_cast<uint32_t>(i),
-                              issue, now,
-                              "\"txn_num\":" + std::to_string(txn_num));
-        }
-        if (now >= warmup_end && now <= end) {
-          ++local.committed;
-          ++local.committed_by_type[static_cast<int>(params.type)];
-          local.latency.Add(now - issue);
-          local.latency_by_type[static_cast<int>(params.type)].Add(now -
-                                                                   issue);
-        }
+        c->Complete(clock.Now());
       }
     });
   }
-  for (int i = 0; i < config.a_clients; ++i) {
-    threads.emplace_back([&, i] {
-      Rng rng(config.seed * 104729 + static_cast<uint64_t>(i) + 1);
-      ALocal& local = a_locals[i];
-      int batch[kNumQueries];
-      for (int q = 0; q < kNumQueries; ++q) batch[q] = q;
-      int pos = kNumQueries;
-      while (clock.Now() < end) {
-        if (pos >= kNumQueries) {
-          for (int q = kNumQueries - 1; q > 0; --q) {
-            std::swap(batch[q], batch[rng.Uniform(0, q)]);
-          }
-          pos = 0;
-        }
-        const int qid = batch[pos++];
-        const double issue = clock.Now();
+  for (AClient& client : clients.a) {
+    threads.emplace_back([&, c = &client] {
+      while (clock.Now() < run.end) {
+        const int qid = c->NextQuery();
+        const TimePoint issue = clock.Now();
         WorkMeter meter;
-        AnalyticsSession session = engine_->BeginAnalytics(&meter);
-        ExecContext ctx{&meter};
-        ctx.dop = config.dop;
+        ExecContext ctx;
+        ctx.meter = &meter;
         ctx.dynamic_morsels = true;  // real threads: balance via stealing
-        ctx.vectorized = config.vectorized;
-        if (config.batch_rows > 0) {
-          ctx.batch_rows = static_cast<size_t>(config.batch_rows);
-        }
-        ctx.session_pin = session.guard;
         // Morsel workers record real per-shard spans on this client's
         // lanes (see GatherMergeOp).
         ctx.tracer = tracer_;
         ctx.trace_clock = &clock;
-        ctx.trace_tid = obs::MorselTrack(static_cast<uint32_t>(i), 0);
-        // Per-execution profile on the wall clock (real operator times);
-        // folded into this client's per-query aggregate, merged across
-        // clients after the join.
-        obs::PlanProfile profile(&clock);
-        if (config.profile_queries) ctx.profile = &profile;
-        QueryResult result = RunQuery(
-            qid, *session.source, context_->num_freshness_tables, &ctx);
-        ctx.session_pin.reset();
-        session.guard.reset();
-        if (config.profile_queries) {
-          local.profiles[qid].Accumulate(profile);
-          if (tracer_ != nullptr) {
-            profile.EmitSpans(
-                tracer_, obs::kTrackAClientBase + static_cast<uint32_t>(i));
-          }
-        }
-        const double now = clock.Now();
-        if (tracer_ != nullptr) {
-          tracer_->RecordSpan(QueryName(qid), "query",
-                              obs::kTrackAClientBase + static_cast<uint32_t>(i),
-                              issue, now,
-                              "\"dop\":" + std::to_string(config.dop));
-        }
-        if (now >= warmup_end && now <= end) {
-          ++local.queries;
-          local.latency.Add(now - issue);
-          local.latency_by_id[qid].Add(now - issue);
-          FreshnessTracker::Observation obs;
-          obs.query_start = issue;
-          obs.seen.assign(
-              result.freshness.begin(),
-              result.freshness.begin() +
-                  std::min<size_t>(result.freshness.size(),
-                                   static_cast<size_t>(config.t_clients)));
-          local.observations.push_back(std::move(obs));
-        }
+        ctx.trace_tid = obs::MorselTrack(c->index(), 0);
+        const QueryResult result = c->Execute(qid, &ctx);
+        c->Complete(qid, issue, clock.Now(), result);
       }
     });
   }
   for (std::thread& t : threads) t.join();
   stop.store(true);
   applier.join();
-
-  RunMetrics metrics;
-  if (tracer_ != nullptr) {
-    registry.GetGauge(obs::kTraceDroppedSpans)
-        ->Set(static_cast<double>(tracer_->dropped()));
-  }
-  metrics.observed = registry.Snapshot();
-  engine_->SetObservability(obs::Observability{});
-  metrics.measure_seconds = config.measure_seconds;
-  for (const TLocal& local : t_locals) {
-    metrics.committed += local.committed;
-    metrics.failed += local.failed;
-    metrics.aborts += local.aborts;
-    metrics.txn_latency.Merge(local.latency);
-    for (int t = 0; t < 3; ++t) {
-      metrics.committed_by_type[t] += local.committed_by_type[t];
-      metrics.aborts_by_type[t] += local.aborts_by_type[t];
-      metrics.txn_latency_by_type[t].Merge(local.latency_by_type[t]);
-    }
-  }
-  for (const ALocal& local : a_locals) {
-    metrics.queries += local.queries;
-    metrics.query_latency.Merge(local.latency);
-    for (int q = 0; q < kNumQueries; ++q) {
-      metrics.query_latency_by_id[q].Merge(local.latency_by_id[q]);
-      metrics.query_profiles[q].Accumulate(local.profiles[q]);
-    }
-    for (const FreshnessTracker::Observation& obs : local.observations) {
-      metrics.freshness.Add(tracker.Score(obs));
-    }
-  }
-  metrics.t_throughput =
-      static_cast<double>(metrics.committed) / config.measure_seconds;
-  metrics.a_throughput =
-      static_cast<double>(metrics.queries) / config.measure_seconds;
-  return metrics;
+  return run.Finish();
 }
 
 }  // namespace hattrick

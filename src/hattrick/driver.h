@@ -65,8 +65,9 @@ struct RunMetrics {
   uint64_t committed_by_type[3] = {0, 0, 0};
   uint64_t aborts_by_type[3] = {0, 0, 0};
 
-  /// Virtual (sim) / wall (threaded) seconds T-clients spent queued on
-  /// the row-lock model before their transactions could run.
+  /// Virtual seconds T-clients spent queued on the simulator's row-lock
+  /// model before their transactions could run. Always 0 from the
+  /// threaded driver: only the simulator models row locks.
   double lock_wait_seconds = 0;
 
   Sampler txn_latency;                     // seconds, all types
@@ -155,12 +156,14 @@ class SimDriver {
 };
 
 /// Wall-clock driver: real client threads against the thread-safe
-/// engines. Used by the examples and integration tests to demonstrate
-/// the system live; the figure-generating benchmarks use SimDriver.
+/// engines. It runs the same client procedure as SimDriver; only the
+/// clock differs (threads, sleeps and a live applier thread instead of
+/// modeled core pools). Used by the examples and integration tests to
+/// demonstrate the system live; the figure-generating benchmarks use
+/// SimDriver.
 class ThreadedDriver {
  public:
-  ThreadedDriver(HtapEngine* engine, WorkloadContext* context,
-                 double ship_delay_seconds = 200e-6);
+  ThreadedDriver(HtapEngine* engine, WorkloadContext* context);
 
   RunMetrics Run(const WorkloadConfig& config);
 
@@ -172,7 +175,6 @@ class ThreadedDriver {
  private:
   HtapEngine* engine_;
   WorkloadContext* context_;
-  double ship_delay_seconds_;
   obs::Tracer* tracer_ = nullptr;
 };
 

@@ -90,8 +90,8 @@ Replica::StepResult Replica::Step(WorkMeter* meter) {
     last_error_ = consumed;
     return StepResult::kError;
   }
-  applied_lsn_ = lsn;
-  stream_->Acknowledge(applied_lsn_);
+  applied_lsn_.store(lsn, std::memory_order_release);
+  stream_->Acknowledge(lsn);
   waiting_lsn_ = 0;
   resend_attempts_ = 0;
   return StepResult::kApplied;
@@ -125,7 +125,7 @@ Status Replica::ApplyRecord(const ShippedRecord& shipped, WorkMeter* meter) {
   if (record.lsn != applied_lsn_ + 1) {
     return Status::Internal("apply out of order: got lsn " +
                             std::to_string(record.lsn) + " at applied " +
-                            std::to_string(applied_lsn_));
+                            std::to_string(applied_lsn_.load()));
   }
   const Ts commit_ts = oracle_.Allocate();
   for (const WalOp& op : record.ops) {

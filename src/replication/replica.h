@@ -1,6 +1,7 @@
 #ifndef HATTRICK_REPLICATION_REPLICA_H_
 #define HATTRICK_REPLICATION_REPLICA_H_
 
+#include <atomic>
 #include <cstdint>
 
 #include "common/status.h"
@@ -84,8 +85,11 @@ class Replica {
   /// Replays until the stream is drained; returns records applied.
   size_t CatchUp(WorkMeter* meter);
 
-  /// Highest LSN durably applied.
-  uint64_t applied_lsn() const { return applied_lsn_; }
+  /// Highest LSN durably applied. Safe to poll from other threads (a
+  /// REMOTE_APPLY client waiting for its commit) while Step runs.
+  uint64_t applied_lsn() const {
+    return applied_lsn_.load(std::memory_order_acquire);
+  }
 
   /// Records shipped but not yet applied.
   size_t Lag() const { return stream_->PendingAfter(applied_lsn_); }
@@ -122,7 +126,7 @@ class Replica {
   WalStream* stream_;
   const FaultInjector* injector_ = nullptr;
   TimestampOracle oracle_;
-  uint64_t applied_lsn_ = 0;
+  std::atomic<uint64_t> applied_lsn_{0};  // written only by Step/ResetTo
 
   // Volatile recovery state (lost on crash).
   uint64_t waiting_lsn_ = 0;      // LSN a resend is pending for (0 = none)

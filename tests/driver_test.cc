@@ -1,9 +1,12 @@
-// Tests for the virtual-time benchmark driver: determinism, throughput
-// scaling and saturation, the interference signatures of the three
-// designs, and freshness semantics per design/replication mode — the
-// core behavioural claims of the paper's evaluation.
+// Tests for the benchmark drivers: determinism, throughput scaling and
+// saturation, the interference signatures of the three designs, and
+// freshness semantics per design/replication mode — the core behavioural
+// claims of the paper's evaluation — plus the client-procedure contract
+// that the virtual-time and wall-clock drivers both keep.
 
 #include <memory>
+#include <string>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
@@ -252,6 +255,175 @@ TEST_F(DriverTest, MakeRunnerWiresThrough) {
   EXPECT_GT(p.tps, 0);
   EXPECT_GT(p.qps, 0);
 }
+
+// ---------------------------------------------------------------------------
+// Driver contract: both drivers run one client procedure, so both must
+// report internally consistent metrics and the same commit-wait spans.
+// Under ThreadSanitizer this also runs the client core on real threads.
+// ---------------------------------------------------------------------------
+
+enum class Design { kShared, kIsolatedShip, kIsolatedApply, kHybrid };
+
+const char* DesignName(Design design) {
+  switch (design) {
+    case Design::kShared:
+      return "Shared";
+    case Design::kIsolatedShip:
+      return "IsolatedShip";
+    case Design::kIsolatedApply:
+      return "IsolatedApply";
+    case Design::kHybrid:
+      return "Hybrid";
+  }
+  return "";
+}
+
+DatagenConfig MiniConfig() {
+  DatagenConfig config;
+  config.scale_factor = 1.0;
+  config.lineorders_per_sf = 1200;
+  config.seed = 21;
+  config.num_freshness_tables = 16;
+  return config;
+}
+
+using ContractParam = std::tuple<bool, Design>;  // (threaded, design)
+
+class DriverContractTest : public ::testing::TestWithParam<ContractParam> {
+ protected:
+  static void SetUpTestSuite() {
+    dataset_ = new Dataset(GenerateDataset(MiniConfig()));
+  }
+  static void TearDownTestSuite() {
+    delete dataset_;
+    dataset_ = nullptr;
+  }
+
+  static std::unique_ptr<HtapEngine> MakeEngine(Design design) {
+    switch (design) {
+      case Design::kShared:
+        return LoadEngine<SharedEngine, SharedEngineConfig>(*dataset_, {});
+      case Design::kIsolatedShip:
+      case Design::kIsolatedApply: {
+        IsolatedEngineConfig config;
+        config.mode = design == Design::kIsolatedShip
+                          ? ReplicationMode::kSyncShip
+                          : ReplicationMode::kRemoteApply;
+        return LoadEngine<IsolatedEngine, IsolatedEngineConfig>(*dataset_,
+                                                                config);
+      }
+      case Design::kHybrid:
+        return LoadEngine<HybridEngine, HybridEngineConfig>(*dataset_,
+                                                            SystemXConfig());
+    }
+    return nullptr;
+  }
+
+  static SimSetup SetupFor(Design design) {
+    switch (design) {
+      case Design::kShared:
+        return SharedSimSetup();
+      case Design::kIsolatedShip:
+      case Design::kIsolatedApply:
+        return IsolatedSimSetup();
+      case Design::kHybrid:
+        return HybridSimSetup();
+    }
+    return SimSetup{};
+  }
+
+  static Dataset* dataset_;
+};
+
+Dataset* DriverContractTest::dataset_ = nullptr;
+
+TEST_P(DriverContractTest, MetricsAgreeAndCommitWaitsAreTraced) {
+  const bool threaded = std::get<0>(GetParam());
+  const Design design = std::get<1>(GetParam());
+  std::unique_ptr<HtapEngine> engine = MakeEngine(design);
+  WorkloadContext context(*dataset_);
+  WorkloadConfig config;
+  config.t_clients = 3;
+  config.a_clients = 2;
+  config.warmup_seconds = 0.05;
+  config.measure_seconds = 0.3;
+  config.seed = 17;
+  config.profile_queries = true;
+  obs::Tracer tracer;
+  RunMetrics m;
+  if (threaded) {
+    ThreadedDriver driver(engine.get(), &context);
+    driver.SetTracer(&tracer);
+    m = driver.Run(config);
+  } else {
+    SimDriver driver(engine.get(), &context, SetupFor(design));
+    driver.SetTracer(&tracer);
+    m = driver.Run(config);
+  }
+  ASSERT_GT(m.committed, 0u);
+  ASSERT_GT(m.queries, 0u);
+
+  uint64_t committed = 0;
+  uint64_t aborts = 0;
+  size_t txn_samples = 0;
+  for (int t = 0; t < 3; ++t) {
+    committed += m.committed_by_type[t];
+    aborts += m.aborts_by_type[t];
+    txn_samples += m.txn_latency_by_type[t].count();
+  }
+  EXPECT_EQ(m.committed, committed);
+  EXPECT_EQ(m.aborts, aborts);
+  EXPECT_EQ(m.txn_latency.count(), m.committed);
+  EXPECT_EQ(txn_samples, m.committed);
+
+  size_t query_samples = 0;
+  for (int q = 0; q < kNumQueries; ++q) {
+    query_samples += m.query_latency_by_id[q].count();
+    if (m.query_latency_by_id[q].count() > 0) {
+      EXPECT_FALSE(m.query_profiles[q].empty()) << QueryName(q);
+    }
+  }
+  EXPECT_EQ(m.query_latency.count(), m.queries);
+  EXPECT_EQ(query_samples, m.queries);
+  EXPECT_EQ(m.freshness.count(), m.queries);
+
+  EXPECT_EQ(m.measure_seconds, config.measure_seconds);
+  EXPECT_DOUBLE_EQ(m.t_throughput,
+                   static_cast<double>(m.committed) / m.measure_seconds);
+  EXPECT_DOUBLE_EQ(m.a_throughput,
+                   static_cast<double>(m.queries) / m.measure_seconds);
+
+  // Replicated commits wait on the standby, and that wait is traced as a
+  // child span of the transaction; the single-copy designs never wait.
+  const std::string wait_span =
+      design == Design::kIsolatedShip    ? "commit-wait-ship"
+      : design == Design::kIsolatedApply ? "commit-wait-apply"
+                                         : "";
+  size_t waits = 0;
+  for (const obs::Span& span : tracer.Spans()) {
+    if (span.name.rfind("commit-wait-", 0) == 0) {
+      EXPECT_EQ(span.name, wait_span);
+      ++waits;
+    }
+  }
+  if (wait_span.empty()) {
+    EXPECT_EQ(waits, 0u);
+  } else {
+    EXPECT_GT(waits, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothDrivers, DriverContractTest,
+    ::testing::Combine(::testing::Bool(),
+                       ::testing::Values(Design::kShared,
+                                         Design::kIsolatedShip,
+                                         Design::kIsolatedApply,
+                                         Design::kHybrid)),
+    [](const ::testing::TestParamInfo<ContractParam>& info) {
+      return std::string(std::get<0>(info.param) ? "Threaded" : "Sim") +
+             DesignName(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace hattrick

@@ -16,6 +16,7 @@
 //   hattrick_cli query --query=all --dop=4 --profile-out=/tmp/profiles.json
 //
 // Flags:
+//   --help      print usage and exit
 //   --system    postgres | postgres-rc | postgres-sr | postgres-sr-ra |
 //               system-x | tidb | tidb-dist            (default postgres)
 //               design-class aliases: shared -> postgres,
@@ -173,16 +174,22 @@ bool WantsCsv(const std::string& path) {
   return path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
 }
 
+constexpr char kUsage[] =
+    "usage: hattrick_cli --mode=point|frontier|sweep|query "
+    "--system=<name> [--sf=N] [--t=N --a=N] ...\n"
+    "see the header of tools/hattrick_cli.cc for all flags\n";
+
 int Usage() {
-  std::fprintf(stderr,
-               "usage: hattrick_cli --mode=point|frontier|sweep|query "
-               "--system=<name> [--sf=N] [--t=N --a=N] ...\n"
-               "see the header of tools/hattrick_cli.cc for all flags\n");
+  std::fputs(kUsage, stderr);
   return 2;
 }
 
 int Main(int argc, char** argv) {
   const Flags flags(argc, argv);
+  if (flags.Has("help")) {
+    std::fputs(kUsage, stdout);
+    return 0;
+  }
   const std::string mode = flags.positional().empty()
                                ? flags.GetString("mode", "point")
                                : flags.positional().front();
