@@ -12,10 +12,10 @@
 // bands and exits non-zero on a regression (the CI bench-smoke job gates
 // on the checked-in BENCH_smoke.json baseline).
 //
-// Flags:
+// Flags (an unknown flag or an unparsable value exits with status 2):
 //   --name      snapshot name                        (default "smoke")
 //   --out       output path                          (default BENCH_<name>.json)
-//   --sf        scale factor                         (default 1)
+//   --sf        scale factor, > 0                    (default 1)
 //   --t, --a    profiled operating point             (default 4 / 2)
 //   --warmup, --measure  period lengths in virtual s (default 0.25 / 1)
 //   --seed      workload seed                        (default 7)
@@ -58,10 +58,26 @@ struct SystemRecipe {
 
 int Main(int argc, char** argv) {
   const tools::Flags flags(argc, argv);
+  const std::string flag_error = flags.Validate({
+      {"name", tools::FlagKind::kString},
+      {"out", tools::FlagKind::kString},
+      {"sf", tools::FlagKind::kDouble},
+      {"t", tools::FlagKind::kInt},
+      {"a", tools::FlagKind::kInt},
+      {"warmup", tools::FlagKind::kDouble},
+      {"measure", tools::FlagKind::kDouble},
+      {"seed", tools::FlagKind::kInt},
+      {"dop", tools::FlagKind::kInt},
+  });
+  const double sf = flags.GetDouble("sf", 1.0);
+  if (!flag_error.empty() || !(sf > 0)) {
+    std::fprintf(stderr, "bench_runner: %s\n",
+                 flag_error.empty() ? "--sf must be > 0" : flag_error.c_str());
+    return 2;
+  }
   const std::string name = flags.GetString("name", "smoke");
   const std::string out_path =
       flags.GetString("out", "BENCH_" + name + ".json");
-  const double sf = flags.GetDouble("sf", 1.0);
 
   WorkloadConfig base;
   base.t_clients = flags.GetInt("t", 4);

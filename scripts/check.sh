@@ -29,6 +29,10 @@
 #            tidb-dist construction goes through the 4-shard engine),
 #            plus the cross-shard 2PC storm (shard_test) under
 #            ThreadSanitizer
+#   wallbench-build  compile-only: configures wallbench/ (the wall-clock
+#            benchmark harness) into build-wallbench and builds it, so a
+#            src/ API change that breaks the harness fails here; the
+#            benchmark itself is not run
 #
 # Usage:
 #   scripts/check.sh                  # build + lint + tsan
@@ -36,6 +40,7 @@
 #   scripts/check.sh --asan --ubsan   # just the named legs
 #   scripts/check.sh --merge-bitmap   # bitmap merge-mode leg only
 #   scripts/check.sh --shard-smoke    # sharded scale-out leg only
+#   scripts/check.sh --wallbench-build  # build the wallbench harness only
 #   scripts/check.sh --tidy           # just clang-tidy
 #   scripts/check.sh --tsan-only      # compat: tsan leg only
 #   scripts/check.sh --no-tsan        # compat: build + lint, no tsan
@@ -48,6 +53,7 @@ SUPP_DIR="$PWD/scripts/sanitizers"
 RUN_BUILD=0 RUN_LINT=0 RUN_TSAN=0 RUN_ASAN=0 RUN_UBSAN=0
 RUN_ANALYZE=0 RUN_ANALYZE_AST=0 RUN_TIDY=0 RUN_MERGE_BITMAP=0
 RUN_BENCH_SMOKE=0 RUN_CONTENTION_SMOKE=0 RUN_SHARD_SMOKE=0
+RUN_WALLBENCH_BUILD=0
 if [[ $# -eq 0 ]]; then
   RUN_BUILD=1 RUN_LINT=1 RUN_TSAN=1
 fi
@@ -55,7 +61,8 @@ for arg in "$@"; do
   case "$arg" in
     --all) RUN_BUILD=1 RUN_LINT=1 RUN_TSAN=1 RUN_ASAN=1 RUN_UBSAN=1
            RUN_ANALYZE=1 RUN_ANALYZE_AST=1 RUN_TIDY=1 RUN_MERGE_BITMAP=1
-           RUN_BENCH_SMOKE=1 RUN_CONTENTION_SMOKE=1 RUN_SHARD_SMOKE=1 ;;
+           RUN_BENCH_SMOKE=1 RUN_CONTENTION_SMOKE=1 RUN_SHARD_SMOKE=1
+           RUN_WALLBENCH_BUILD=1 ;;
     --build) RUN_BUILD=1 ;;
     --lint) RUN_LINT=1 ;;
     --tsan) RUN_TSAN=1 ;;
@@ -68,13 +75,15 @@ for arg in "$@"; do
     --bench-smoke) RUN_BENCH_SMOKE=1 ;;
     --contention-smoke) RUN_CONTENTION_SMOKE=1 ;;
     --shard-smoke) RUN_SHARD_SMOKE=1 ;;
+    --wallbench-build) RUN_WALLBENCH_BUILD=1 ;;
     # Back-compat spellings used by older CI jobs and muscle memory.
     --tsan-only) RUN_TSAN=1 ;;
     --no-tsan) RUN_BUILD=1 RUN_LINT=1 ;;
     *) echo "usage: $0 [--all] [--build] [--lint] [--tsan] [--asan]" \
             "[--ubsan] [--merge-bitmap] [--analyze] [--analyze-ast]" \
             "[--tidy] [--bench-smoke] [--contention-smoke]" \
-            "[--shard-smoke] [--tsan-only] [--no-tsan]" >&2
+            "[--shard-smoke] [--wallbench-build] [--tsan-only]" \
+            "[--no-tsan]" >&2
        exit 2 ;;
   esac
 done
@@ -174,6 +183,12 @@ if [[ "$RUN_BENCH_SMOKE" == 1 ]]; then
   ./build/bench/bench_runner --name=smoke --out=build/BENCH_smoke.json
   python3 scripts/bench_compare.py bench/BENCH_smoke.json \
       build/BENCH_smoke.json
+fi
+
+if [[ "$RUN_WALLBENCH_BUILD" == 1 ]]; then
+  echo "== build (wallbench harness, compile only) =="
+  cmake -S wallbench -B build-wallbench >/dev/null
+  cmake --build build-wallbench -j "$JOBS"
 fi
 
 if [[ "$RUN_ASAN" == 1 ]]; then

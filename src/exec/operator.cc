@@ -1,8 +1,11 @@
 #include "exec/operator.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <unordered_map>
 
@@ -145,6 +148,72 @@ class ProjectOp final : public Operator {
   OpProfiler prof_;
 };
 
+/// Aborts on a violation of MakeHashJoin's input contract. A mistyped
+/// join must never mis-join silently, so this fires in every build type.
+[[noreturn]] void JoinContractViolation(const char* what, size_t column) {
+  std::fprintf(stderr, "HashJoin: %s (column %zu); see MakeHashJoin\n", what,
+               column);
+  std::abort();
+}
+
+/// Records an input's column types on first use, checking that column
+/// `key` exists and is int64, and requires every later batch or row of
+/// that input to match them.
+void CheckJoinInput(std::vector<DataType>* seen,
+                    const std::vector<DataType>& types, size_t key) {
+  if (!seen->empty()) {
+    if (types != *seen) {
+      JoinContractViolation("input column types differ between batches",
+                            key);
+    }
+    return;
+  }
+  if (key >= types.size()) JoinContractViolation("no such key column", key);
+  if (types[key] != DataType::kInt64) {
+    JoinContractViolation("join key is not an int64 column", key);
+  }
+  *seen = types;
+}
+
+std::vector<DataType> BatchTypes(const Batch& b) {
+  std::vector<DataType> types;
+  types.reserve(b.cols.size());
+  for (const ColumnVector& c : b.cols) types.push_back(c.type());
+  return types;
+}
+
+/// Appends src[idx[k]] for every k to dst (same type).
+void GatherColumn(const ColumnVector& src, const std::vector<uint32_t>& idx,
+                  ColumnVector* dst) {
+  switch (src.type()) {
+    case DataType::kInt64:
+      for (const uint32_t i : idx) dst->ints.push_back(src.ints[i]);
+      break;
+    case DataType::kDouble:
+      for (const uint32_t i : idx) dst->doubles.push_back(src.doubles[i]);
+      break;
+    case DataType::kString:
+      for (const uint32_t i : idx) dst->strings.push_back(src.strings[i]);
+      break;
+  }
+}
+
+/// Hash equijoin over int64 keys (contract: MakeHashJoin).
+///
+/// Open drains the build side into column vectors, the active rows
+/// compacted in drain order, and indexes them with one flat
+/// open-addressing table: key -> first build row with that key, plus a
+/// `next_` array chaining every build row to the next one with the same
+/// key, so duplicates come out in build insertion order. NextBatch reads
+/// the key column of each probe batch in place, collects
+/// (probe index, build index) pairs, and gathers the output columns by
+/// type; no probe row is materialized. The row-oracle Next probes the
+/// same table and materializes only its output row.
+///
+/// Metering matches the row path: hash_probes once per build row and
+/// once per probe row, output_rows once per match, each charged in the
+/// NextBatch call that reaches that row (PlanProfile digests depend on
+/// it).
 class HashJoinOp final : public Operator {
  public:
   HashJoinOp(OperatorPtr probe, size_t probe_key, OperatorPtr build,
@@ -166,49 +235,40 @@ class HashJoinOp final : public Operator {
     probe_->Open(ctx);
     build_->Open(ctx);
     if (ctx->vectorized) {
-      // Batch drain of the build side. Insertion order matches the row
-      // path (active rows in batch order), so the multimap — and with it
-      // the equal_range emission order on the probe side — is identical.
       Batch b;
-      Row row;
       while (build_->NextBatch(ctx, &b)) {
-        const size_t n = b.ActiveRows();
-        for (size_t k = 0; k < n; ++k) {
-          b.MaterializeRow(b.ActiveIndex(k), &row);
-          std::string key;
-          key::EncodeValue(row[build_key_], &key);
-          table_.emplace(std::move(key), row);
-        }
-        if (ctx->meter != nullptr) ctx->meter->hash_probes += n;
+        AppendBuildBatch(b);
+        if (ctx->meter != nullptr) ctx->meter->hash_probes += b.ActiveRows();
       }
-      return;
+    } else {
+      Row row;
+      while (build_->Next(ctx, &row)) {
+        AppendBuildRow(row);
+        if (ctx->meter != nullptr) ++ctx->meter->hash_probes;
+      }
     }
-    Row row;
-    while (build_->Next(ctx, &row)) {
-      std::string key;
-      key::EncodeValue(row[build_key_], &key);
-      table_.emplace(std::move(key), row);
-      if (ctx->meter != nullptr) ++ctx->meter->hash_probes;
-    }
+    BuildTable();
   }
 
   bool Next(ExecContext* ctx, Row* out) override {
     return prof_.Next(ctx, [&] {
-      while (true) {
-        if (match_it_ != match_end_) {
-          *out = probe_row_;
-          const Row& build_row = match_it_->second;
-          out->insert(out->end(), build_row.begin(), build_row.end());
-          ++match_it_;
-          if (ctx->meter != nullptr) ++ctx->meter->output_rows;
-          return true;
-        }
+      while (match_ == kNoRow) {
         if (!probe_->Next(ctx, &probe_row_)) return false;
-        std::string key;
-        key::EncodeValue(probe_row_[probe_key_], &key);
+        if (probe_key_ >= probe_row_.size() ||
+            !probe_row_[probe_key_].is_int()) {
+          JoinContractViolation("join key is not an int64 column",
+                                probe_key_);
+        }
         if (ctx->meter != nullptr) ++ctx->meter->hash_probes;
-        std::tie(match_it_, match_end_) = table_.equal_range(key);
+        match_ = Find(probe_row_[probe_key_].AsInt());
       }
+      *out = probe_row_;
+      for (const ColumnVector& c : build_cols_) {
+        out->push_back(c.GetValue(match_));
+      }
+      match_ = next_[match_];
+      if (ctx->meter != nullptr) ++ctx->meter->output_rows;
+      return true;
     });
   }
 
@@ -218,47 +278,166 @@ class HashJoinOp final : public Operator {
 
   bool NextBatchImpl(ExecContext* ctx, Batch* out) {
     out->Clear();
-    Row joined;
-    while (out->rows < ctx->batch_rows) {
-      if (match_it_ != match_end_) {
-        joined = probe_row_;
-        const Row& build_row = match_it_->second;
-        joined.insert(joined.end(), build_row.begin(), build_row.end());
-        if (!out->TypesMatch(joined)) break;  // type skew: close the batch
-        out->AppendRow(joined);
-        ++match_it_;
-        if (ctx->meter != nullptr) ++ctx->meter->output_rows;
+    uint64_t probes = 0;
+    size_t pending = 0;  // output rows gathered or awaiting the gather
+    while (pending < ctx->batch_rows) {
+      if (match_ != kNoRow) {
+        pair_probe_.push_back(probe_idx_);
+        pair_build_.push_back(match_);
+        match_ = next_[match_];
+        ++pending;
         continue;
       }
-      // Advance to the next active probe row, pulling a new probe batch
-      // when the current one is spent.
+      // Advance to the next active probe row. A spent probe batch is
+      // gathered before the next one overwrites it, so output batches
+      // fill across probe-batch boundaries.
       if (probe_pos_ >= probe_batch_.ActiveRows()) {
+        Gather(out);
         if (!probe_->NextBatch(ctx, &probe_batch_)) break;
+        CheckJoinInput(&probe_types_, BatchTypes(probe_batch_), probe_key_);
         probe_pos_ = 0;
       }
-      probe_batch_.MaterializeRow(probe_batch_.ActiveIndex(probe_pos_++),
-                                  &probe_row_);
-      std::string key;
-      key::EncodeValue(probe_row_[probe_key_], &key);
-      if (ctx->meter != nullptr) ++ctx->meter->hash_probes;
-      std::tie(match_it_, match_end_) = table_.equal_range(key);
+      probe_idx_ =
+          static_cast<uint32_t>(probe_batch_.ActiveIndex(probe_pos_++));
+      ++probes;
+      match_ = Find(probe_batch_.cols[probe_key_].ints[probe_idx_]);
+    }
+    Gather(out);
+    if (ctx->meter != nullptr) {
+      ctx->meter->hash_probes += probes;
+      ctx->meter->output_rows += pending;
     }
     return out->rows > 0;
   }
 
  private:
-  using Table = std::unordered_multimap<std::string, Row>;
+  static constexpr uint32_t kNoRow = std::numeric_limits<uint32_t>::max();
+
+  struct Slot {
+    int64_t key = 0;
+    uint32_t row = kNoRow;  // first build row with `key`; kNoRow if empty
+  };
+
+  /// Checks a build batch's or row's column types; the first one types
+  /// the build columns.
+  void CheckBuildTypes(const std::vector<DataType>& types) {
+    CheckJoinInput(&build_types_, types, build_key_);
+    if (build_cols_.empty()) {
+      for (const DataType t : types) build_cols_.emplace_back(t);
+    }
+  }
+
+  void AppendBuildBatch(const Batch& b) {
+    CheckBuildTypes(BatchTypes(b));
+    if (b.filtered) {
+      for (size_t j = 0; j < b.cols.size(); ++j) {
+        GatherColumn(b.cols[j], b.sel.idx, &build_cols_[j]);
+      }
+    } else {
+      for (size_t j = 0; j < b.cols.size(); ++j) {
+        const ColumnVector& src = b.cols[j];
+        ColumnVector& dst = build_cols_[j];
+        dst.ints.insert(dst.ints.end(), src.ints.begin(), src.ints.end());
+        dst.doubles.insert(dst.doubles.end(), src.doubles.begin(),
+                           src.doubles.end());
+        dst.strings.insert(dst.strings.end(), src.strings.begin(),
+                           src.strings.end());
+      }
+    }
+    build_rows_ += b.ActiveRows();
+  }
+
+  void AppendBuildRow(const Row& row) {
+    std::vector<DataType> types;
+    types.reserve(row.size());
+    for (const Value& v : row) types.push_back(v.type());
+    CheckBuildTypes(types);
+    for (size_t j = 0; j < row.size(); ++j) build_cols_[j].PushValue(row[j]);
+    ++build_rows_;
+  }
+
+  /// Indexes the drained build rows. Rows are linked in reverse so each
+  /// key's chain runs in insertion order.
+  void BuildTable() {
+    if (build_rows_ >= kNoRow) {
+      JoinContractViolation("build side exceeds 2^32-1 rows", build_key_);
+    }
+    size_t capacity = 16;
+    while (capacity < 2 * build_rows_) capacity *= 2;
+    slots_.assign(capacity, Slot{});
+    mask_ = capacity - 1;
+    shift_ = 64 - std::countr_zero(capacity);
+    next_.assign(build_rows_, kNoRow);
+    if (build_rows_ == 0) return;
+    const std::vector<int64_t>& keys = build_cols_[build_key_].ints;
+    for (size_t r = build_rows_; r-- > 0;) {
+      Slot& slot = slots_[SlotOf(keys[r])];
+      if (slot.row == kNoRow) slot.key = keys[r];
+      next_[r] = slot.row;
+      slot.row = static_cast<uint32_t>(r);
+    }
+  }
+
+  /// Index of the slot holding `key`, or of the empty slot ending its
+  /// probe sequence (linear probing; the table is at most half full).
+  size_t SlotOf(int64_t key) const {
+    size_t i = static_cast<size_t>(
+        (static_cast<uint64_t>(key) * 0x9E3779B97F4A7C15ull) >> shift_);
+    while (slots_[i].row != kNoRow && slots_[i].key != key) {
+      i = (i + 1) & mask_;
+    }
+    return i;
+  }
+
+  /// First build row with `key`, or kNoRow.
+  uint32_t Find(int64_t key) const { return slots_[SlotOf(key)].row; }
+
+  /// Appends the collected pairs' output rows to `out` and clears them.
+  void Gather(Batch* out) {
+    if (pair_build_.empty()) return;
+    const size_t np = probe_batch_.cols.size();
+    if (out->rows == 0) {
+      out->cols.resize(np + build_cols_.size());
+      for (size_t j = 0; j < np; ++j) {
+        out->cols[j].Reset(probe_batch_.cols[j].type());
+      }
+      for (size_t j = 0; j < build_cols_.size(); ++j) {
+        out->cols[np + j].Reset(build_cols_[j].type());
+      }
+    }
+    for (size_t j = 0; j < np; ++j) {
+      GatherColumn(probe_batch_.cols[j], pair_probe_, &out->cols[j]);
+    }
+    for (size_t j = 0; j < build_cols_.size(); ++j) {
+      GatherColumn(build_cols_[j], pair_build_, &out->cols[np + j]);
+    }
+    out->rows += pair_build_.size();
+    pair_probe_.clear();
+    pair_build_.clear();
+  }
 
   OperatorPtr probe_;
   OperatorPtr build_;
   size_t probe_key_;
   size_t build_key_;
-  Table table_;
-  Row probe_row_;
-  Table::iterator match_it_{};
-  Table::iterator match_end_{};
+  // Build side: compacted column vectors plus the key table.
+  std::vector<ColumnVector> build_cols_;
+  size_t build_rows_ = 0;
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> next_;  // next build row with the same key
+  size_t mask_ = 0;
+  int shift_ = 64;
+  // First-seen column types of each input (contract checks).
+  std::vector<DataType> build_types_;
+  std::vector<DataType> probe_types_;
+  // Probe cursor: the next build row matching the current probe row.
+  uint32_t match_ = kNoRow;
+  Row probe_row_;  // row path
   Batch probe_batch_;
   size_t probe_pos_ = 0;
+  uint32_t probe_idx_ = 0;
+  std::vector<uint32_t> pair_probe_;
+  std::vector<uint32_t> pair_build_;
   OpProfiler prof_;
 };
 

@@ -172,9 +172,23 @@ OperatorPtr MakeFilter(OperatorPtr child, ExprPtr predicate);
 /// Computes one output expression per column.
 OperatorPtr MakeProject(OperatorPtr child, std::vector<ExprPtr> exprs);
 
-/// Hash join: materializes `build`, probes with `probe`. Output is
-/// probe row concatenated with build row. Join keys must be single
-/// columns on each side (all SSB joins are key/foreign-key equijoins).
+/// Hash equijoin: drains `build` in Open, then streams `probe`. Output is
+/// the probe row concatenated with the build row.
+///
+/// Contract (every SSB join is an int64 surrogate-key equijoin over
+/// schema-typed scans, so plans meet it by construction):
+///  - `probe_key` and `build_key` name int64 columns;
+///  - each input is uniformly typed: every batch (or row) it produces has
+///    the same column types as its first one.
+/// A violation aborts with a message in every build type; it never
+/// mis-joins silently.
+///
+/// A probe row matching several build rows (duplicate build keys) emits
+/// its matches in build insertion order. Output batches fill to
+/// ctx->batch_rows across probe-batch boundaries.
+///
+/// Metering: one hash_probe per build row and per probe row, one
+/// output_row per match.
 OperatorPtr MakeHashJoin(OperatorPtr probe, size_t probe_key,
                          OperatorPtr build, size_t build_key);
 

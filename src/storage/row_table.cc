@@ -275,7 +275,7 @@ void RowTable::ScanRange(Ts snapshot, Rid begin, Rid end,
   SharedReaderLock lock(&latch_);
   mvcc::EpochManager::Guard guard;
   end = std::min<Rid>(end, slots_.size());
-  Row row;
+  Row folded;  // written only for rows with deltas to fold
   for (Rid rid = begin; rid < end; ++rid) {
     const VersionNode* head =
         slots_[rid].head.load(std::memory_order_acquire);
@@ -285,10 +285,13 @@ void RowTable::ScanRange(Ts snapshot, Rid begin, Rid end,
     if (meter != nullptr) {
       meter->version_hops += mvcc::ChainLength(head);
     }
-    mvcc::FoldObservation obs;
-    if (mvcc::FoldVisible(head, snapshot, &row, &obs, nullptr)) {
+    // Zero-copy: a delta-free visible version reaches the visitor as a
+    // reference into its node, kept alive by `guard` until the visit ends.
+    const Row* row =
+        mvcc::ResolveVisible(head, snapshot, &folded, nullptr, nullptr);
+    if (row != nullptr) {
       if (meter != nullptr) ++meter->rows_read;
-      if (!visitor(rid, row)) return;
+      if (!visitor(rid, *row)) return;
     }
   }
 }

@@ -112,7 +112,10 @@ class RowTable {
   Ts LatestVersionTs(Rid rid) const;
 
   /// Visits every row visible at `snapshot` in rid order; return false
-  /// from the visitor to stop.
+  /// from the visitor to stop. The row is passed without a copy when its
+  /// visible version carries no deltas: the reference points into the
+  /// version node and is valid only until the visitor returns (copy what
+  /// must outlive the visit).
   void Scan(Ts snapshot,
             const std::function<bool(Rid, const Row&)>& visitor,
             WorkMeter* meter) const;

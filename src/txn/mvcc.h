@@ -185,24 +185,59 @@ struct FoldObservation {
   Ts any_cts = 0;
 };
 
+/// Scratch list of the delta nodes one fold collects: inline for the
+/// common short run of deltas, spilling to the heap only past kInline.
+class DeltaBuffer {
+ public:
+  void push_back(const VersionNode* node) {
+    if (size_ == kInline) spill_.assign(inline_, inline_ + kInline);
+    if (size_ >= kInline) {
+      spill_.push_back(node);
+    } else {
+      inline_[size_] = node;
+    }
+    ++size_;
+  }
+  const VersionNode** begin() {
+    return size_ > kInline ? spill_.data() : inline_;
+  }
+  const VersionNode** end() { return begin() + size_; }
+  bool empty() const { return size_ == 0; }
+
+ private:
+  static constexpr size_t kInline = 8;
+  const VersionNode* inline_[kInline] = {};
+  std::vector<const VersionNode*> spill_;
+  size_t size_ = 0;
+};
+
 /// Resolves the version of a chain visible at `snapshot`: walks newest to
 /// oldest skipping pending/aborted nodes and versions newer than the
 /// snapshot, accumulates visible committed deltas, and folds them over
 /// the first visible committed full version. Deltas older than that full
 /// version are already incorporated in it (every committed full
 /// after-image was computed from a read that folded all deltas below it)
-/// and are ignored. Returns false if no version is visible (row created
-/// later, or tombstoned as of the snapshot).
+/// and are ignored.
+///
+/// Copy-free when it can be: if the visible version is a committed full
+/// version with no deltas above it, returns that node's payload in
+/// place; otherwise folds into `*scratch` and returns `scratch`. Returns
+/// nullptr if no version is visible (row created later, or tombstoned as
+/// of the snapshot). A returned payload is immutable (published nodes
+/// never change) but lives only as long as the node: the caller must
+/// hold an EpochManager::Guard from the chain load until its last use,
+/// since Vacuum may unlink and retire the node at any time after.
 ///
 /// Meters one version_hop per node visited, matching the
 /// newest-to-oldest walk of the previous vector-based chains.
-inline bool FoldVisible(const VersionNode* head, Ts snapshot, Row* out,
-                        FoldObservation* obs, WorkMeter* meter) {
+inline const Row* ResolveVisible(const VersionNode* head, Ts snapshot,
+                                 Row* scratch, FoldObservation* obs,
+                                 WorkMeter* meter) {
   // Deltas commute logically, but double addition rounds differently
   // under reordering — and the column-store copies apply deltas in
   // commit order. Collect, then replay in cts order below so every
   // store folds to the bit-identical value.
-  std::vector<const VersionNode*> deltas;
+  DeltaBuffer deltas;
   for (const VersionNode* node = head; node != nullptr;
        node = node->prev.load(std::memory_order_acquire)) {
     if (meter != nullptr) ++meter->version_hops;
@@ -215,8 +250,13 @@ inline bool FoldVisible(const VersionNode* head, Ts snapshot, Row* out,
       continue;
     }
     // First committed full version at or below the snapshot.
-    if (node->tombstone) return false;  // deleted as of snapshot
-    *out = node->payload;
+    if (node->tombstone) return nullptr;  // deleted as of snapshot
+    if (meter != nullptr) ++meter->rows_read;
+    if (deltas.empty()) {
+      if (obs != nullptr) obs->full_cts = obs->any_cts = cts;
+      return &node->payload;
+    }
+    *scratch = node->payload;
     Ts any = cts;
     std::sort(deltas.begin(), deltas.end(),
               [](const VersionNode* a, const VersionNode* b) {
@@ -224,7 +264,7 @@ inline bool FoldVisible(const VersionNode* head, Ts snapshot, Row* out,
                        b->cts.load(std::memory_order_relaxed);
               });
     for (const VersionNode* d : deltas) {
-      ApplyDeltaValue(&(*out)[d->delta_column], d->payload[0]);
+      ApplyDeltaValue(&(*scratch)[d->delta_column], d->payload[0]);
       const Ts dts = d->cts.load(std::memory_order_relaxed);
       if (dts > any) any = dts;
     }
@@ -232,10 +272,19 @@ inline bool FoldVisible(const VersionNode* head, Ts snapshot, Row* out,
       obs->full_cts = cts;
       obs->any_cts = any;
     }
-    if (meter != nullptr) ++meter->rows_read;
-    return true;
+    return scratch;
   }
-  return false;  // row did not exist at snapshot
+  return nullptr;  // row did not exist at snapshot
+}
+
+/// ResolveVisible into an owned row: `*out` receives the visible version
+/// (copied or folded). Returns false if no version is visible.
+inline bool FoldVisible(const VersionNode* head, Ts snapshot, Row* out,
+                        FoldObservation* obs, WorkMeter* meter) {
+  const Row* row = ResolveVisible(head, snapshot, out, obs, meter);
+  if (row == nullptr) return false;
+  if (row != out) *out = *row;
+  return true;
 }
 
 /// cts of the newest committed full (non-delta) version, 0 if none.

@@ -150,6 +150,137 @@ TEST(OperatorTest, HashJoinEmptySides) {
                   .empty());
 }
 
+TEST(OperatorTest, HashJoinEmptySidesStillMeterEveryProbe) {
+  // An empty build side matches nothing, but the probe side is still
+  // drained and every probe row charges its hash probe.
+  WorkMeter meter;
+  EXPECT_TRUE(RunPlan(MakeHashJoin(MakeValuesScan({R({int64_t{1}}),
+                                                   R({int64_t{2}})}),
+                                   0, MakeValuesScan({}), 0),
+                      &meter)
+                  .empty());
+  EXPECT_EQ(meter.hash_probes, 2u);
+  EXPECT_EQ(meter.output_rows, 0u);
+}
+
+// Duplicate build keys come out in build insertion order, in both modes
+// and at every batch width.
+TEST(OperatorTest, HashJoinDuplicatesInBuildInsertionOrder) {
+  const std::vector<Row> build = {R({int64_t{7}, std::string("b0")}),
+                                  R({int64_t{7}, std::string("b1")}),
+                                  R({int64_t{8}, std::string("x")}),
+                                  R({int64_t{7}, std::string("b2")}),
+                                  R({int64_t{7}, std::string("b3")})};
+  const std::vector<Row> probe = {R({int64_t{7}}), R({int64_t{9}}),
+                                  R({int64_t{7}})};
+  for (const bool vectorized : {false, true}) {
+    for (const size_t batch_rows : {size_t{1}, size_t{3}, size_t{1024}}) {
+      SCOPED_TRACE(std::string(vectorized ? "batch" : "row") +
+                   " batch_rows=" + std::to_string(batch_rows));
+      WorkMeter meter;
+      ExecContext ctx;
+      ctx.meter = &meter;
+      ctx.vectorized = vectorized;
+      ctx.batch_rows = batch_rows;
+      OperatorPtr plan = MakeHashJoin(MakeValuesScan(probe), 0,
+                                      MakeValuesScan(build), 0);
+      const std::vector<Row> out = Collect(plan.get(), &ctx);
+      ASSERT_EQ(out.size(), 8u);
+      for (size_t i = 0; i < out.size(); ++i) {
+        EXPECT_EQ(out[i][2].AsString(), "b" + std::to_string(i % 4));
+      }
+      EXPECT_EQ(meter.hash_probes, build.size() + probe.size());
+      EXPECT_EQ(meter.output_rows, 8u);
+    }
+  }
+}
+
+// Keys need not be column 0 on either side; misses on both sides drop out.
+TEST(OperatorTest, HashJoinKeysAtNonZeroColumns) {
+  const std::vector<Row> probe = {R({std::string("p1"), 0.5, int64_t{1}}),
+                                  R({std::string("p2"), 1.5, int64_t{2}}),
+                                  R({std::string("p5"), 2.5, int64_t{5}})};
+  const std::vector<Row> build = {R({std::string("b2"), int64_t{2}}),
+                                  R({std::string("b3"), int64_t{3}}),
+                                  R({std::string("b5"), int64_t{5}})};
+  for (const bool vectorized : {false, true}) {
+    ExecContext ctx;
+    ctx.vectorized = vectorized;
+    OperatorPtr plan = MakeHashJoin(MakeValuesScan(probe), 2,
+                                    MakeValuesScan(build), 1);
+    const std::vector<Row> out = Collect(plan.get(), &ctx);
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_EQ(out[0], R({std::string("p2"), 1.5, int64_t{2},
+                         std::string("b2"), int64_t{2}}));
+    EXPECT_EQ(out[1], R({std::string("p5"), 2.5, int64_t{5},
+                         std::string("b5"), int64_t{5}}));
+  }
+}
+
+// Output batches fill to batch_rows across probe-batch boundaries: a
+// selective filter under the probe side leaves sparse probe batches, yet
+// every output batch but the last is full.
+TEST(OperatorTest, HashJoinOutputBatchesFillAcrossProbeBatches) {
+  std::vector<Row> probe;
+  for (int i = 0; i < 300; ++i) probe.push_back(R({int64_t{i % 40}}));
+  std::vector<Row> build;
+  for (int k = 0; k < 30; k += 3) build.push_back(R({int64_t{k}}));
+  build.push_back(R({int64_t{6}}));  // key 6 matches twice
+  size_t matches = 0;
+  for (const Row& p : probe) {
+    const int64_t k = p[0].AsInt();
+    if (k % 2 == 0 && k % 3 == 0 && k < 30) matches += k == 6 ? 2 : 1;
+  }
+  ASSERT_GT(matches, 0u);
+  std::vector<Value> evens;
+  for (int k = 0; k < 40; k += 2) evens.emplace_back(int64_t{k});
+  for (const size_t batch_rows : {size_t{1}, size_t{3}, size_t{1024}}) {
+    SCOPED_TRACE("batch_rows=" + std::to_string(batch_rows));
+    ExecContext ctx;
+    ctx.batch_rows = batch_rows;
+    OperatorPtr plan = MakeHashJoin(
+        MakeFilter(MakeValuesScan(probe), InList(Col(0), evens)), 0,
+        MakeValuesScan(build), 0);
+    const std::vector<Batch> batches = CollectBatches(plan.get(), &ctx);
+    ASSERT_EQ(batches.size(), (matches + batch_rows - 1) / batch_rows);
+    size_t total = 0;
+    for (size_t i = 0; i < batches.size(); ++i) {
+      EXPECT_FALSE(batches[i].filtered);
+      if (i + 1 < batches.size()) {
+        EXPECT_EQ(batches[i].rows, batch_rows);
+      }
+      total += batches[i].rows;
+    }
+    EXPECT_EQ(total, matches);
+  }
+}
+
+TEST(OperatorDeathTest, HashJoinRejectsNonInt64Keys) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::vector<Row> strings = {R({std::string("a")})};
+  const std::vector<Row> ints = {R({int64_t{1}})};
+  const std::vector<Row> doubles = {R({1.0})};
+  for (const bool vectorized : {false, true}) {
+    const auto run = [vectorized](OperatorPtr plan) {
+      ExecContext ctx;
+      ctx.vectorized = vectorized;
+      Collect(plan.get(), &ctx);
+    };
+    EXPECT_DEATH(run(MakeHashJoin(MakeValuesScan(strings), 0,
+                                  MakeValuesScan(ints), 0)),
+                 "not an int64");
+    EXPECT_DEATH(run(MakeHashJoin(MakeValuesScan(ints), 0,
+                                  MakeValuesScan(doubles), 0)),
+                 "not an int64");
+    // A build side whose column types change mid-stream.
+    EXPECT_DEATH(run(MakeHashJoin(MakeValuesScan(ints), 0,
+                                  MakeValuesScan({R({int64_t{1}, 2.0}),
+                                                  R({int64_t{2}, int64_t{3}})}),
+                                  0)),
+                 "HashJoin");
+  }
+}
+
 TEST(OperatorTest, HashAggregateGroupsAndSums) {
   std::vector<Row> rows = {R({std::string("a"), int64_t{1}}),
                            R({std::string("b"), int64_t{2}}),
@@ -597,6 +728,25 @@ TEST(BatchDifferentialTest, JoinAggregateOrderBy) {
             MakeHashJoin(MakeValuesScan(fact), 0, MakeValuesScan(dim), 0),
             {Col(3)}, std::move(aggs)),
         {{Col(1), false}});
+  });
+}
+
+TEST(BatchDifferentialTest, JoinWithDuplicatesAndMisses) {
+  Rng rng(7);
+  std::vector<Row> fact;
+  std::vector<Row> dim;
+  for (int i = 0; i < 40; ++i) {
+    // Keys 0..19, most twice; 20..29 never probed.
+    const int64_t key = i < 30 ? i % 20 : 20 + i % 10;
+    dim.push_back(R({Value("d" + std::to_string(i)), key}));
+  }
+  for (int i = 0; i < 400; ++i) {
+    fact.push_back(R({rng.Uniform(1, 9), rng.Uniform(0, 24), 0.25 * i}));
+  }
+  ExpectBatchMatchesRowOracle([&] {
+    return MakeHashJoin(
+        MakeFilter(MakeValuesScan(fact), Ne(Col(0), Lit(Value(int64_t{3})))),
+        1, MakeValuesScan(dim), 1);
   });
 }
 

@@ -86,9 +86,72 @@ TEST(FlagsTest, GetPositiveIntRejectsZeroAndNegatives) {
 }
 
 TEST(FlagsTest, GetPositiveIntRejectsGarbage) {
-  // atoi parses "banana" as 0, which the positivity check then rejects.
+  // An unparsable value is never read as 0 (or as its numeric prefix).
   EXPECT_EQ(Parse({"--batch-size=banana"}).GetPositiveInt("batch-size", 1024),
             1024);
+  EXPECT_EQ(Parse({"--batch-size=12abc"}).GetPositiveInt("batch-size", 1024),
+            1024);
+}
+
+TEST(FlagsTest, StrictNumberParsing) {
+  int i = 0;
+  EXPECT_TRUE(ParseIntFlag("42", &i));
+  EXPECT_EQ(i, 42);
+  EXPECT_TRUE(ParseIntFlag("-7", &i));
+  EXPECT_EQ(i, -7);
+  for (const char* bad : {"", "abc", "12abc", "1.5", " 3", "3 ",
+                          "99999999999999999999"}) {
+    EXPECT_FALSE(ParseIntFlag(bad, &i)) << "'" << bad << "'";
+  }
+  double d = 0;
+  EXPECT_TRUE(ParseDoubleFlag("2.5", &d));
+  EXPECT_DOUBLE_EQ(d, 2.5);
+  EXPECT_TRUE(ParseDoubleFlag("1e2", &d));
+  EXPECT_DOUBLE_EQ(d, 100);
+  for (const char* bad : {"", "abc", "1.5x", "nan", "inf", "1e999"}) {
+    EXPECT_FALSE(ParseDoubleFlag(bad, &d)) << "'" << bad << "'";
+  }
+  bool b = false;
+  EXPECT_TRUE(ParseBoolFlag("no", &b));
+  EXPECT_FALSE(b);
+  EXPECT_FALSE(ParseBoolFlag("maybe", &b));
+}
+
+TEST(FlagsTest, UnparsableValuesFallBackInGetters) {
+  const Flags flags = Parse({"--sf=abc", "--t=4x", "--threaded=maybe"});
+  EXPECT_DOUBLE_EQ(flags.GetDouble("sf", 1.0), 1.0);
+  EXPECT_EQ(flags.GetInt("t", 4), 4);
+  EXPECT_TRUE(flags.GetBool("threaded", true));
+}
+
+const std::vector<FlagSpec> kTestFlags = {{"mode", FlagKind::kString},
+                                          {"sf", FlagKind::kDouble},
+                                          {"t", FlagKind::kInt},
+                                          {"threaded", FlagKind::kBool}};
+
+TEST(FlagsTest, ValidateAcceptsDeclaredWellFormedFlags) {
+  EXPECT_EQ(Parse({"query", "--mode=point", "--sf=0.5", "--t", "8",
+                   "--threaded"})
+                .Validate(kTestFlags),
+            "");
+  EXPECT_EQ(Parse({}).Validate(kTestFlags), "");
+}
+
+TEST(FlagsTest, ValidateRejectsUnknownFlags) {
+  EXPECT_EQ(Parse({"--bogus=1", "--sf=2"}).Validate(kTestFlags),
+            "unknown flag --bogus");
+  // A misspelling is unknown too, not ignored.
+  EXPECT_EQ(Parse({"--treaded"}).Validate(kTestFlags),
+            "unknown flag --treaded");
+}
+
+TEST(FlagsTest, ValidateRejectsUnparsableValues) {
+  EXPECT_EQ(Parse({"--sf=abc"}).Validate(kTestFlags),
+            "--sf: 'abc' is not a number");
+  EXPECT_EQ(Parse({"--t=2.5"}).Validate(kTestFlags),
+            "--t: '2.5' is not an integer");
+  EXPECT_EQ(Parse({"--threaded=maybe"}).Validate(kTestFlags),
+            "--threaded: 'maybe' is not a boolean");
 }
 
 TEST(FlagsTest, GetPositiveIntUsesFallbackWhenAbsent) {

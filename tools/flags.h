@@ -1,6 +1,10 @@
 #ifndef HATTRICK_TOOLS_FLAGS_H_
 #define HATTRICK_TOOLS_FLAGS_H_
 
+#include <cctype>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdlib>
 #include <map>
 #include <string>
@@ -9,8 +13,64 @@
 namespace hattrick {
 namespace tools {
 
+/// Value kind of a declared flag; Flags::Validate checks each given value
+/// against it.
+enum class FlagKind { kString, kInt, kDouble, kBool };
+
+/// One flag a tool accepts.
+struct FlagSpec {
+  const char* name;
+  FlagKind kind;
+};
+
+/// True when `s` cannot start a number: empty, or leading whitespace
+/// (which strtol/strtod would skip).
+inline bool BadNumberStart(const std::string& s) {
+  return s.empty() || std::isspace(static_cast<unsigned char>(s[0]));
+}
+
+/// Strict integer parse: the whole of `s` must be a base-10 int.
+inline bool ParseIntFlag(const std::string& s, int* out) {
+  if (BadNumberStart(s)) return false;
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(s.c_str(), &end, 10);
+  if (errno != 0 || *end != '\0' || v < INT_MIN || v > INT_MAX) return false;
+  *out = static_cast<int>(v);
+  return true;
+}
+
+/// Strict floating-point parse: the whole of `s` must be a finite number.
+inline bool ParseDoubleFlag(const std::string& s, double* out) {
+  if (BadNumberStart(s)) return false;
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(s.c_str(), &end);
+  if (errno != 0 || *end != '\0' || !std::isfinite(v)) return false;
+  *out = v;
+  return true;
+}
+
+/// Boolean spellings: true/1/yes and false/0/no.
+inline bool ParseBoolFlag(const std::string& s, bool* out) {
+  if (s == "true" || s == "1" || s == "yes") {
+    *out = true;
+  } else if (s == "false" || s == "0" || s == "no") {
+    *out = false;
+  } else {
+    return false;
+  }
+  return true;
+}
+
 /// Minimal --key=value / --key value / --flag command-line parser for the
 /// CLI tools (no external dependencies).
+///
+/// Tools declare the flags they accept and call Validate before reading
+/// any: an unknown flag or a value that does not parse as its declared
+/// kind is an error, never a silent default. The typed getters parse
+/// strictly and return `fallback` when the flag is absent (or, for a
+/// value Validate would reject, when the caller skipped Validate).
 class Flags {
  public:
   /// Parses argv; unknown positional arguments are collected in order.
@@ -34,6 +94,42 @@ class Flags {
     }
   }
 
+  /// Checks every given flag against `known`. Returns an empty string
+  /// when all are declared and parse as their kind, else a one-line
+  /// message naming the first offending flag.
+  std::string Validate(const std::vector<FlagSpec>& known) const {
+    for (const auto& [key, value] : values_) {
+      const FlagSpec* spec = nullptr;
+      for (const FlagSpec& s : known) {
+        if (key == s.name) spec = &s;
+      }
+      if (spec == nullptr) return "unknown flag --" + key;
+      int i;
+      double d;
+      bool b;
+      switch (spec->kind) {
+        case FlagKind::kString:
+          break;
+        case FlagKind::kInt:
+          if (!ParseIntFlag(value, &i)) {
+            return "--" + key + ": '" + value + "' is not an integer";
+          }
+          break;
+        case FlagKind::kDouble:
+          if (!ParseDoubleFlag(value, &d)) {
+            return "--" + key + ": '" + value + "' is not a number";
+          }
+          break;
+        case FlagKind::kBool:
+          if (!ParseBoolFlag(value, &b)) {
+            return "--" + key + ": '" + value + "' is not a boolean";
+          }
+          break;
+      }
+    }
+    return std::string();
+  }
+
   bool Has(const std::string& key) const {
     return values_.count(key) > 0;
   }
@@ -46,7 +142,8 @@ class Flags {
 
   int GetInt(const std::string& key, int fallback) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atoi(it->second.c_str());
+    int v;
+    return it != values_.end() && ParseIntFlag(it->second, &v) ? v : fallback;
   }
 
   /// GetInt clamped to [lo, hi] — for knobs with a valid range (e.g.
@@ -57,8 +154,8 @@ class Flags {
     return v < lo ? lo : (v > hi ? hi : v);
   }
 
-  /// GetInt for strictly positive knobs (e.g. --batch-size): 0, negative,
-  /// and unparsable values are rejected in favor of `fallback`.
+  /// GetInt for strictly positive knobs (e.g. --batch-size): 0 and
+  /// negative values are rejected in favor of `fallback`.
   int GetPositiveInt(const std::string& key, int fallback) const {
     const int v = GetInt(key, fallback);
     return v < 1 ? fallback : v;
@@ -66,13 +163,16 @@ class Flags {
 
   double GetDouble(const std::string& key, double fallback) const {
     const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::atof(it->second.c_str());
+    double v;
+    return it != values_.end() && ParseDoubleFlag(it->second, &v) ? v
+                                                                   : fallback;
   }
 
   bool GetBool(const std::string& key, bool fallback) const {
     const auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
-    return it->second == "true" || it->second == "1" || it->second == "yes";
+    bool v;
+    return it != values_.end() && ParseBoolFlag(it->second, &v) ? v
+                                                                 : fallback;
   }
 
   const std::vector<std::string>& positional() const { return positional_; }

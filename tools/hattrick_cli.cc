@@ -15,13 +15,14 @@
 //   hattrick_cli query --system=system-x --sf=10 --query=Q1.1 --explain
 //   hattrick_cli query --query=all --dop=4 --profile-out=/tmp/profiles.json
 //
-// Flags:
+// Flags (an unknown flag or a value that does not parse as its kind is an
+// error: message on stderr, exit status 2):
 //   --help      print usage and exit
 //   --system    postgres | postgres-rc | postgres-sr | postgres-sr-ra |
 //               system-x | tidb | tidb-dist            (default postgres)
 //               design-class aliases: shared -> postgres,
 //               isolated -> postgres-sr, hybrid -> system-x
-//   --sf        scale factor                           (default 1)
+//   --sf        scale factor, > 0                      (default 1)
 //   --schema    none | semi | all                      (default per system)
 //   --t, --a    client counts for --mode=point         (default 4 / 2)
 //   --warmup, --measure   period lengths in virtual s  (default 0.25 / 1)
@@ -184,8 +185,31 @@ int Usage() {
   return 2;
 }
 
+/// Every flag the CLI accepts (documented in the header comment).
+const std::vector<FlagSpec> kFlags = {
+    {"help", FlagKind::kBool},          {"mode", FlagKind::kString},
+    {"system", FlagKind::kString},      {"sf", FlagKind::kDouble},
+    {"schema", FlagKind::kString},      {"t", FlagKind::kInt},
+    {"a", FlagKind::kInt},              {"warmup", FlagKind::kDouble},
+    {"measure", FlagKind::kDouble},     {"seed", FlagKind::kInt},
+    {"lines", FlagKind::kInt},          {"points", FlagKind::kInt},
+    {"max_clients", FlagKind::kInt},    {"max_a", FlagKind::kInt},
+    {"threaded", FlagKind::kBool},      {"dop", FlagKind::kInt},
+    {"batch-size", FlagKind::kInt},     {"row-exec", FlagKind::kBool},
+    {"shards", FlagKind::kInt},         {"merge-mode", FlagKind::kString},
+    {"fault-profile", FlagKind::kString}, {"fault-seed", FlagKind::kInt},
+    {"trace-out", FlagKind::kString},   {"metrics-out", FlagKind::kString},
+    {"query", FlagKind::kString},       {"explain", FlagKind::kBool},
+    {"profile-out", FlagKind::kString}, {"txns", FlagKind::kInt},
+};
+
 int Main(int argc, char** argv) {
   const Flags flags(argc, argv);
+  const std::string flag_error = flags.Validate(kFlags);
+  if (!flag_error.empty()) {
+    std::fprintf(stderr, "hattrick_cli: %s\n", flag_error.c_str());
+    return Usage();
+  }
   if (flags.Has("help")) {
     std::fputs(kUsage, stdout);
     return 0;
@@ -206,6 +230,10 @@ int Main(int argc, char** argv) {
     return Usage();
   }
   const double sf = flags.GetDouble("sf", 1.0);
+  if (!(sf > 0)) {
+    std::fprintf(stderr, "hattrick_cli: --sf must be > 0\n");
+    return Usage();
+  }
 
   FaultConfig fault;
   if (flags.Has("fault-profile")) {
