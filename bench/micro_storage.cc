@@ -125,6 +125,27 @@ void BM_VersionChainTraversal(benchmark::State& state) {
 }
 BENCHMARK(BM_VersionChainTraversal)->Arg(1)->Arg(16)->Arg(256);
 
+void BM_HotRowRead(benchmark::State& state) {
+  // A Payment-style hot row: N committed S_YTD increments above its one
+  // full version, nothing vacuumed. After the first (warm) read, a read
+  // should cost the deltas committed since, not all N.
+  const int64_t deltas = state.range(0);
+  RowTable table(Schema({{"k", DataType::kInt64},
+                         {"ytd", DataType::kDouble},
+                         {"name", DataType::kString}}));
+  const Rid rid = table.Insert(
+      Row{int64_t{7}, 0.0, std::string("Supplier#000000007")}, 1, nullptr);
+  for (int64_t i = 0; i < deltas; ++i) {
+    (void)table.AddDeltaVersion(rid, 1, Value(1.25 + i), 2 + i, nullptr);
+  }
+  Row out;
+  (void)table.Read(rid, kMaxTs - 1, &out, nullptr);  // warm read
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(table.Read(rid, kMaxTs - 1, &out, nullptr));
+  }
+}
+BENCHMARK(BM_HotRowRead)->Arg(16)->Arg(256)->Arg(4096);
+
 void BM_ColumnScanInts(benchmark::State& state) {
   ColumnTable table(
       Schema({{"k", DataType::kInt64}, {"v", DataType::kDouble}}));

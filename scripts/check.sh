@@ -33,6 +33,17 @@
 #            benchmark harness) into build-wallbench and builds it, so a
 #            src/ API change that breaks the harness fails here; the
 #            benchmark itself is not run
+#   figures  rebuilds every fig*/ablation_* target named in
+#            bench/CMakeLists.txt, runs each as its own process (one per
+#            core at a time) and diffs the SHA-256 of each one's stdout
+#            against bench/FIGURES.sha256 ("figures unchanged" in one
+#            command). The comparison is exact; the file's `#` header
+#            names the compiler and build type that made the digests,
+#            and the leg prints its own, so a toolchain mismatch can be
+#            told apart from a figure change. Slow (tens of minutes), so
+#            not part of --all; CI runs it nightly and on demand. A
+#            change that sets out to move a figure copies
+#            build/FIGURES.sha256 over the checked-in file
 #
 # Usage:
 #   scripts/check.sh                  # build + lint + tsan
@@ -41,6 +52,7 @@
 #   scripts/check.sh --merge-bitmap   # bitmap merge-mode leg only
 #   scripts/check.sh --shard-smoke    # sharded scale-out leg only
 #   scripts/check.sh --wallbench-build  # build the wallbench harness only
+#   scripts/check.sh --figures        # figure digests, nightly CI leg
 #   scripts/check.sh --tidy           # just clang-tidy
 #   scripts/check.sh --tsan-only      # compat: tsan leg only
 #   scripts/check.sh --no-tsan        # compat: build + lint, no tsan
@@ -53,7 +65,7 @@ SUPP_DIR="$PWD/scripts/sanitizers"
 RUN_BUILD=0 RUN_LINT=0 RUN_TSAN=0 RUN_ASAN=0 RUN_UBSAN=0
 RUN_ANALYZE=0 RUN_ANALYZE_AST=0 RUN_TIDY=0 RUN_MERGE_BITMAP=0
 RUN_BENCH_SMOKE=0 RUN_CONTENTION_SMOKE=0 RUN_SHARD_SMOKE=0
-RUN_WALLBENCH_BUILD=0
+RUN_WALLBENCH_BUILD=0 RUN_FIGURES=0
 if [[ $# -eq 0 ]]; then
   RUN_BUILD=1 RUN_LINT=1 RUN_TSAN=1
 fi
@@ -76,13 +88,15 @@ for arg in "$@"; do
     --contention-smoke) RUN_CONTENTION_SMOKE=1 ;;
     --shard-smoke) RUN_SHARD_SMOKE=1 ;;
     --wallbench-build) RUN_WALLBENCH_BUILD=1 ;;
+    --figures) RUN_FIGURES=1 ;;
     # Back-compat spellings used by older CI jobs and muscle memory.
     --tsan-only) RUN_TSAN=1 ;;
     --no-tsan) RUN_BUILD=1 RUN_LINT=1 ;;
     *) echo "usage: $0 [--all] [--build] [--lint] [--tsan] [--asan]" \
             "[--ubsan] [--merge-bitmap] [--analyze] [--analyze-ast]" \
             "[--tidy] [--bench-smoke] [--contention-smoke]" \
-            "[--shard-smoke] [--wallbench-build] [--tsan-only]" \
+            "[--shard-smoke] [--wallbench-build] [--figures]" \
+            "[--tsan-only]" \
             "[--no-tsan]" >&2
        exit 2 ;;
   esac
@@ -189,6 +203,36 @@ if [[ "$RUN_WALLBENCH_BUILD" == 1 ]]; then
   echo "== build (wallbench harness, compile only) =="
   cmake -S wallbench -B build-wallbench >/dev/null
   cmake --build build-wallbench -j "$JOBS"
+fi
+
+if [[ "$RUN_FIGURES" == 1 ]]; then
+  echo "== build (figure binaries) =="
+  cmake -B build -S . >/dev/null
+  # The figure list comes from the build's own targets, so a stale binary
+  # left in build/bench by a removed or renamed target is never digested.
+  mapfile -t FIGURES < <(sed -n \
+      's/^hattrick_bench(\(\(fig\|ablation_\)[A-Za-z0-9_]*\))$/\1/p' \
+      bench/CMakeLists.txt | LC_ALL=C sort)
+  cmake --build build -j "$JOBS" --target "${FIGURES[@]}"
+  CXX_PATH="$(sed -n 's/^CMAKE_CXX_COMPILER:[A-Z]*=//p' build/CMakeCache.txt)"
+  BUILD_TYPE="$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' build/CMakeCache.txt)"
+  TOOLCHAIN="$("$CXX_PATH" --version | head -n 1), ${BUILD_TYPE:-RelWithDebInfo}"
+  echo "== figure digests (${#FIGURES[@]} figures, ${JOBS} at a time;" \
+       "${TOOLCHAIN}) =="
+  rm -rf build/figures
+  mkdir -p build/figures
+  # Separate processes: a figure's stdout must not depend on what else
+  # ran before it in the same process. xargs fails the leg if any
+  # figure exits non-zero.
+  printf '%s\n' "${FIGURES[@]}" | xargs -P "$JOBS" -I{} \
+      sh -c './build/bench/{} > build/figures/{}.out'
+  {
+    echo "# stdout SHA-256 per figure binary (scripts/check.sh --figures)"
+    echo "# toolchain: ${TOOLCHAIN}"
+    (cd build/figures && sha256sum -- *.out) | sed 's/\.out$//' \
+        | LC_ALL=C sort -k2
+  } > build/FIGURES.sha256
+  grep -v '^#' bench/FIGURES.sha256 | diff -u - <(grep -v '^#' build/FIGURES.sha256)
 fi
 
 if [[ "$RUN_ASAN" == 1 ]]; then

@@ -208,10 +208,10 @@ void ColumnTable::AppendVersion(uint64_t csn, size_t rid, const Row& row) {
   SharedMutexLock lock(&delta_mu_);
   assert((delta_log_.empty() || delta_log_.back().csn <= csn) &&
          "version log must stay CSN-ascending (append from commit order)");
-  assert(rid == num_rows() + pending_inserts_ &&
+  assert(rid == num_rows() + pending_inserts_.size() &&
          "insert version out of sync with the row store's rid space");
   delta_log_.push_back(VersionOp{VersionOp::Kind::kInsert, csn, rid, row});
-  ++pending_inserts_;
+  pending_inserts_.push_back(&delta_log_.back());
 }
 
 void ColumnTable::UpdateVersion(uint64_t csn, size_t rid, const Row& row) {
@@ -219,6 +219,7 @@ void ColumnTable::UpdateVersion(uint64_t csn, size_t rid, const Row& row) {
   assert((delta_log_.empty() || delta_log_.back().csn <= csn) &&
          "version log must stay CSN-ascending (append from commit order)");
   delta_log_.push_back(VersionOp{VersionOp::Kind::kUpdate, csn, rid, row});
+  newest_update_[rid] = &delta_log_.back();
 }
 
 void ColumnTable::AppendDeltaVersion(uint64_t csn, size_t rid, size_t column,
@@ -227,26 +228,32 @@ void ColumnTable::AppendDeltaVersion(uint64_t csn, size_t rid, size_t column,
   assert((delta_log_.empty() || delta_log_.back().csn <= csn) &&
          "version log must stay CSN-ascending (append from commit order)");
   // Materialize the increment against the newest version of the row:
-  // the latest pending op for this rid, or the base cell values if the
-  // row has no pending versions. Because the commit tail appends in CSN
-  // order, nothing can slip between that base and this version.
+  // its newest pending update, else its pending insert, else the base
+  // cell values. Because the commit tail appends in CSN order, nothing
+  // can slip between that base and this version.
   Row materialized;
-  bool found = false;
-  for (auto it = delta_log_.rbegin(); it != delta_log_.rend(); ++it) {
-    if (it->rid == rid) {
-      materialized = it->row;
-      found = true;
-      break;
-    }
-  }
-  if (!found) {
-    assert(rid < num_rows() && "delta targets a row the column copy lacks");
+  const size_t base_rows = num_rows();
+  const auto newest = newest_update_.find(rid);
+  if (newest != newest_update_.end()) {
+    materialized = newest->second->row;
+  } else if (rid >= base_rows) {
+    assert(rid - base_rows < pending_inserts_.size() &&
+           "delta targets a row the column copy lacks");
+    materialized = pending_inserts_[rid - base_rows]->row;
+  } else {
     materialized = GetRow(rid);
   }
   assert(column < materialized.size());
   mvcc::ApplyDeltaValue(&materialized[column], increment);
   delta_log_.push_back(
       VersionOp{VersionOp::Kind::kUpdate, csn, rid, std::move(materialized)});
+  newest_update_[rid] = &delta_log_.back();
+}
+
+void ColumnTable::ClearVersionsLocked() {
+  delta_log_.clear();
+  pending_inserts_.clear();
+  newest_update_.clear();
 }
 
 size_t ColumnTable::PendingVersions() const {
@@ -272,13 +279,13 @@ void ColumnTable::SnapshotVersions(uint64_t snapshot,
     if (op.kind == VersionOp::Kind::kInsert) {
       assert(op.rid == out->base_rows + out->inserts.size() &&
              "insert versions must be rid-contiguous from the base");
-      out->inserts.push_back(op.row);
+      out->inserts.push_back(&op.row);
     } else if (op.rid >= out->base_rows) {
       // Update of a row inserted after the last fold: newest visible
       // version wins in place (the insert is earlier in the prefix).
-      out->inserts[op.rid - out->base_rows] = op.row;
+      out->inserts[op.rid - out->base_rows] = &op.row;
     } else {
-      out->overrides[op.rid] = op.row;  // newest visible version wins
+      out->overrides[op.rid] = &op.row;  // newest visible version wins
     }
   }
   out->bound = out->base_rows + out->inserts.size();
@@ -308,11 +315,15 @@ size_t ColumnTable::FoldVersions(uint64_t horizon, WorkMeter* meter) {
       const Status s = Append(op.row, meter);
       assert(s.ok());
       (void)s;
-      --pending_inserts_;
+      assert(pending_inserts_.front() == &op);
+      pending_inserts_.pop_front();
     } else {
       const Status s = UpdateRow(op.rid, op.row, meter);
       assert(s.ok());
       (void)s;
+      const auto newest = newest_update_.find(op.rid);
+      assert(newest != newest_update_.end());
+      if (newest->second == &op) newest_update_.erase(newest);
     }
     if (meter != nullptr) ++meter->merged_rows;
     delta_log_.pop_front();
@@ -335,8 +346,7 @@ void ColumnTable::CopyFrom(const ColumnTable& other) {
   }
   {
     SharedMutexLock dst(&delta_mu_);
-    delta_log_.clear();
-    pending_inserts_ = 0;
+    ClearVersionsLocked();
   }
   // Address-ordered acquisition: copies run in both directions between
   // the same table pair (load snapshotting vs benchmark reset), so a
@@ -360,8 +370,7 @@ void ColumnTable::CopyFrom(const ColumnTable& other) {
 void ColumnTable::TruncateTo(size_t n) {
   {
     SharedMutexLock delta_lock(&delta_mu_);
-    delta_log_.clear();
-    pending_inserts_ = 0;
+    ClearVersionsLocked();
   }
   SharedMutexLock lock(&latch_);
   if (n >= num_rows_) return;

@@ -28,13 +28,22 @@ namespace hattrick {
 ///    [base_rows, bound) in row-store order.
 /// A null/empty snapshot means the base alone is the snapshot (exactly
 /// the eager-merge read path).
+///
+/// Copy-free: `overrides` and `inserts` point at the rows of the table's
+/// version log instead of copying them. The pointers stay valid for the
+/// life of the session because (a) the log is a std::deque and commits
+/// only push_back, which keeps references to existing elements valid,
+/// and (b) the log drops elements (pop_front, clear) only in
+/// ColumnTable::FoldVersions, CopyFrom and TruncateTo, which the engine
+/// runs under its exclusive merge latch — and that latch waits until no
+/// session holds a pin. A snapshot must not outlive its session's pin.
 struct ColumnDeltaSnapshot {
   size_t base_rows = 0;
   size_t bound = 0;
   /// One bit per base rid; 64 rids per word. Empty when no overrides.
   std::vector<uint64_t> dirty;
-  std::unordered_map<size_t, Row> overrides;
-  std::vector<Row> inserts;
+  std::unordered_map<size_t, const Row*> overrides;
+  std::vector<const Row*> inserts;
 
   bool Empty() const { return overrides.empty() && inserts.empty(); }
 
@@ -63,12 +72,12 @@ struct ColumnDeltaSnapshot {
   const Row& OverrideRow(size_t rid) const {
     const auto it = overrides.find(rid);
     assert(it != overrides.end() && "override lookup on a clean rid");
-    return it->second;
+    return *it->second;
   }
 
   const Row& InsertRow(size_t rid) const {
     assert(rid >= base_rows && rid < bound);
-    return inserts[rid - base_rows];
+    return *inserts[rid - base_rows];
   }
 };
 
@@ -182,11 +191,12 @@ class ColumnTable {
 
   /// Appends a version for a commutative increment of one cell of row
   /// `rid` committed at `csn`. The increment is materialized into a full
-  /// after-image (newest pending version of `rid`, or the base row,
-  /// plus the increment) and stored as an ordinary update version —
-  /// safe because the commit tail calls this in CSN order, so the
-  /// newest version at append time IS the delta's base. Snapshot and
-  /// fold paths are untouched.
+  /// after-image (newest pending version of `rid`, found through the
+  /// per-rid index without scanning the log, or the base row, plus the
+  /// increment) and stored as an ordinary update version — safe because
+  /// the commit tail calls this in CSN order, so the newest version at
+  /// append time IS the delta's base. Snapshot and fold paths are
+  /// untouched.
   void AppendDeltaVersion(uint64_t csn, size_t rid, size_t column,
                           const Value& increment);
 
@@ -194,10 +204,12 @@ class ColumnTable {
   size_t PendingVersions() const;
 
   /// Builds the immutable visibility snapshot for a session at CSN
-  /// `snapshot`. Meters one version hop per log entry examined and the
-  /// materialized override/insert cells, charged to the requesting
-  /// session — the bitmap path's (much cheaper) replacement for the
-  /// eager path's merge-before-read charge.
+  /// `snapshot` (pointers into the log; see ColumnDeltaSnapshot for
+  /// their lifetime). Meters one version hop per log entry examined and
+  /// the override/insert cells the session reads, charged to the
+  /// requesting session — the bitmap path's (much cheaper) replacement
+  /// for the eager path's merge-before-read charge. The meter models the
+  /// materialization even though the rows are no longer copied.
   void SnapshotVersions(uint64_t snapshot, ColumnDeltaSnapshot* out,
                         WorkMeter* meter) const;
 
@@ -217,6 +229,9 @@ class ColumnTable {
     size_t rid;
     Row row;
   };
+
+  /// Drops the whole version log and its indexes.
+  void ClearVersionsLocked() REQUIRES(delta_mu_);
 
   struct Column {
     DataType type;
@@ -245,9 +260,10 @@ class ColumnTable {
   /// The version store below is NOT covered by that pin contract:
   /// commits append versions while sessions are live, so it gets its own
   /// internal latch (delta_mu_) and sessions read it only through the
-  /// deep-copied ColumnDeltaSnapshot taken at session open. Lock order
-  /// is delta_mu_ before latch_ (FoldVersions holds delta_mu_ while
-  /// applying to the base; SnapshotVersions holds it shared while
+  /// ColumnDeltaSnapshot taken at session open, whose row pointers the
+  /// pin keeps valid (only pin-excluded calls drop log elements). Lock
+  /// order is delta_mu_ before latch_ (FoldVersions holds delta_mu_
+  /// while applying to the base; SnapshotVersions holds it shared while
   /// reading num_rows()); the two are never taken in the other order.
   std::vector<Column> columns_;
   size_t num_rows_ GUARDED_BY(latch_) = 0;
@@ -255,9 +271,14 @@ class ColumnTable {
   mutable SharedMutex delta_mu_;
   /// CSN-ascending committed version log (bitmap merge mode).
   std::deque<VersionOp> delta_log_ GUARDED_BY(delta_mu_);
-  /// Insert ops currently in the log; insert rids are contiguous from
-  /// num_rows_, an invariant asserted on every append.
-  size_t pending_inserts_ GUARDED_BY(delta_mu_) = 0;
+  /// Insert ops currently in the log, in log order; insert rids are
+  /// contiguous from num_rows_ (asserted on every append), so the insert
+  /// of rid r is pending_inserts_[r - num_rows_].
+  std::deque<const VersionOp*> pending_inserts_ GUARDED_BY(delta_mu_);
+  /// Newest update op in the log per rid: with pending_inserts_, the
+  /// per-rid newest-version index AppendDeltaVersion materializes from.
+  std::unordered_map<size_t, const VersionOp*> newest_update_
+      GUARDED_BY(delta_mu_);
 };
 
 }  // namespace hattrick

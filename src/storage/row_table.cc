@@ -29,11 +29,14 @@ VersionNode* NewCommittedDelta(uint32_t column, const Value& increment,
   return node;
 }
 
-/// Deep-copies the committed suffix of a chain (newest first). Pending
-/// and aborted nodes are dropped: a cloned pending node could never be
-/// published by its (foreign) owner and would pin the chain forever.
-VersionNode* CloneCommitted(const VersionNode* head) {
+/// Deep-copies the committed nodes of the chain at `head` into the empty
+/// `dst` (newest first). Pending and aborted nodes are dropped: a cloned
+/// pending node could never be published by its (foreign) owner and
+/// would pin the chain forever. Fold memos are not copied; readers
+/// rebuild them.
+void CloneCommitted(const VersionNode* head, VersionChain* dst) {
   VersionNode* new_head = nullptr;
+  size_t length = 0;
   VersionNode* tail = nullptr;
   for (const VersionNode* node = head; node != nullptr;
        node = node->prev.load(std::memory_order_acquire)) {
@@ -53,8 +56,10 @@ VersionNode* CloneCommitted(const VersionNode* head) {
       tail->prev.store(clone, std::memory_order_relaxed);
     }
     tail = clone;
+    ++length;
   }
-  return new_head;
+  dst->length.store(length, std::memory_order_relaxed);
+  dst->head.store(new_head, std::memory_order_release);
 }
 
 }  // namespace
@@ -73,6 +78,7 @@ Rid RowTable::Insert(const Row& row, Ts begin_ts, WorkMeter* meter) {
   SharedMutexLock lock(&latch_);
   const Rid rid = slots_.size();
   slots_.emplace_back();
+  slots_.back().length.store(1, std::memory_order_relaxed);
   slots_.back().head.store(NewCommittedFull(row, begin_ts, false),
                            std::memory_order_release);
   if (meter != nullptr) ++meter->rows_written;
@@ -222,6 +228,11 @@ bool RowTable::ValidateRead(Rid rid, Ts observed_full_cts,
     if (st == VersionStatus::kCommitted) {
       return node->cts.load(std::memory_order_relaxed) == observed_full_cts;
     }
+    // A memo tops a committed suffix whose only full version is F: no
+    // pending node below, and F is the newest committed full version.
+    if (const mvcc::FoldMemo* memo = mvcc::MemoOf(node)) {
+      return memo->full_cts == observed_full_cts;
+    }
   }
   return observed_full_cts == 0;
 }
@@ -277,13 +288,13 @@ void RowTable::ScanRange(Ts snapshot, Rid begin, Rid end,
   end = std::min<Rid>(end, slots_.size());
   Row folded;  // written only for rows with deltas to fold
   for (Rid rid = begin; rid < end; ++rid) {
-    const VersionNode* head =
-        slots_[rid].head.load(std::memory_order_acquire);
+    const VersionChain& chain = slots_[rid];
+    const VersionNode* head = chain.head.load(std::memory_order_acquire);
     // A heap scan reads every version physically present in the slot
     // (dead-tuple bloat, the PostgreSQL behaviour Vacuum exists to fix);
     // meter the whole chain, not just the hops to the visible version.
     if (meter != nullptr) {
-      meter->version_hops += mvcc::ChainLength(head);
+      meter->version_hops += chain.length.load(std::memory_order_relaxed);
     }
     // Zero-copy: a delta-free visible version reaches the visitor as a
     // reference into its node, kept alive by `guard` until the visit ends.
@@ -303,10 +314,9 @@ size_t RowTable::NumSlots() const {
 
 size_t RowTable::NumVersions() const {
   SharedReaderLock lock(&latch_);
-  mvcc::EpochManager::Guard guard;
   size_t n = 0;
   for (const VersionChain& chain : slots_) {
-    n += mvcc::ChainLength(chain.head.load(std::memory_order_acquire));
+    n += chain.length.load(std::memory_order_relaxed);
   }
   return n;
 }
@@ -330,7 +340,7 @@ size_t RowTable::Vacuum(Ts horizon) {
         const bool drop =
             st == VersionStatus::kAborted || (superseded && committed);
         if (drop) {
-          if (mvcc::Unlink(link, node)) {
+          if (mvcc::Unlink(&chain, link, node)) {
             mvcc::EpochManager::Instance().Retire(node);
             ++unlinked;
           }
@@ -386,9 +396,8 @@ void RowTable::CopyFrom(const RowTable& other) {
     slots_.clear();
     for (const VersionChain& src : other.slots_) {
       slots_.emplace_back();
-      slots_.back().head.store(
-          CloneCommitted(src.head.load(std::memory_order_acquire)),
-          std::memory_order_release);
+      CloneCommitted(src.head.load(std::memory_order_acquire),
+                     &slots_.back());
     }
   }
   other.latch_.UnlockShared();

@@ -29,8 +29,16 @@ namespace hattrick {
 ///
 /// `latch_` protects only the slot directory (the deque), not row
 /// contents: reads, installs, and Vacuum all run under the shared side.
-/// Vacuum unlinks superseded nodes with CAS and retires them through the
-/// epoch manager, so garbage collection never blocks readers either.
+/// Vacuum unlinks aborted and superseded nodes with CAS and retires them
+/// through the epoch manager, so garbage collection never blocks readers
+/// either. Vacuum never folds deltas, and no benchmark driver calls it,
+/// so a hot row's chain (Payment's S_YTD and C_PAYMENTCNT increments)
+/// grows for a whole run. Reads stay cheap anyway: a read that folds
+/// mvcc::kMemoMinDeltas or more deltas leaves an mvcc::FoldMemo on the
+/// chain, and later reads and read validations stop at it, so each costs
+/// the versions committed since the last memo (installs still walk to the
+/// newest committed full version). Each chain also keeps its physical
+/// length, which heap scans meter without a walk.
 ///
 /// This mirrors the Hekaton/STO-style MVCC design the paper's "shared"
 /// and "hybrid" categories rely on (Section 2.2): readers never block
@@ -122,9 +130,10 @@ class RowTable {
 
   /// Like Scan but restricted to rids in [begin, end) — the row-store
   /// morsel primitive for parallel heap scans. Metering per rid is
-  /// identical to Scan (whole-chain version_hops, rows_read per visible
-  /// row), so a full cover of disjoint ranges meters exactly like one
-  /// Scan. `end` past the slot count is clamped.
+  /// identical to Scan (whole-chain version_hops from the chain's stored
+  /// length, rows_read per visible row), so a full cover of disjoint
+  /// ranges meters exactly like one Scan. `end` past the slot count is
+  /// clamped.
   void ScanRange(Ts snapshot, Rid begin, Rid end,
                  const std::function<bool(Rid, const Row&)>& visitor,
                  WorkMeter* meter) const;
@@ -138,13 +147,16 @@ class RowTable {
 
   /// Unlinks versions no snapshot at or after `horizon` can reach:
   /// aborted nodes, and committed nodes superseded by a newer committed
-  /// full version with cts <= horizon. Runs against the shared latch
-  /// (readers are never blocked); unlinked nodes are retired through the
-  /// epoch manager. Returns the number unlinked.
+  /// full version with cts <= horizon. Deltas above the newest such full
+  /// version stay linked (Vacuum does not fold them). Runs against the
+  /// shared latch (readers are never blocked); unlinked nodes, and the
+  /// fold memos they carry, are retired through the epoch manager.
+  /// Returns the number unlinked.
   size_t Vacuum(Ts horizon);
 
   /// Replaces contents with a deep copy of `other`'s committed versions
-  /// (benchmark reset; pending/aborted nodes are not carried over).
+  /// (benchmark reset; pending/aborted nodes and fold memos are not
+  /// carried over).
   void CopyFrom(const RowTable& other);
 
  private:

@@ -55,7 +55,56 @@ enum class VersionStatus : uint32_t {
   kAborted = 3,
 };
 
+/// Readers that fold at least this many deltas memoize the fold (see
+/// FoldMemo), so a hot row's next read walks only what committed since.
+inline constexpr size_t kMemoMinDeltas = 8;
+
+/// A memoized fold, attached to a committed delta node X by the reader
+/// that folded it. It stands for the "clean suffix" from X down to the
+/// row's first full version F below X: every node in it was committed
+/// with cts <= the builder's snapshot when the memo was built, only F is
+/// a full version, and F is not a tombstone.
+///
+/// Validity. A suffix's nodes are immutable (a committed status is
+/// final, installs only touch the head), so the memo never goes stale.
+/// A reader may stop at X and use the memo instead of walking the suffix
+/// iff (a) its snapshot >= any_cts, so every suffix node is visible to
+/// it, and (b) every visible delta it collected above X has
+/// cts > any_cts, so folding the memo first and those deltas after
+/// replays the doubles in the same cts order as a full walk — the fold
+/// stays bit-identical. Otherwise it keeps walking; the walk is the only
+/// fallback. Memos are never built over pending or aborted nodes.
+/// RowTable::ValidateRead also stops at the first memo, whatever its
+/// snapshot: the suffix holds no pending node and its only full version
+/// F is the row's newest committed one.
+///
+/// Lifetime. A memo is set once by CAS (AttachMemo) and never changed;
+/// ~VersionNode frees it, so FreeChain and epoch reclamation free memos
+/// with no reclamation path of their own. CloneCommitted (CopyFrom) does
+/// not copy memos.
+///
+/// `hops` stays exact: Vacuum unlinks aborted nodes, which a suffix has
+/// none of, and committed nodes below a newer committed full version G.
+/// G cannot sit inside the suffix above F (the suffix holds only
+/// deltas above F), so either G is F and only nodes below the suffix go,
+/// or G is above X and X itself is unlinked with the memo.
+///
+/// Meter parity. A walk that uses a memo charges version_hops = nodes
+/// walked (X included) + hops - 1 and rows_read once, exactly what the
+/// full walk down to F charges.
+struct FoldMemo {
+  /// F's payload with every suffix delta applied in cts order.
+  Row row;
+  Ts full_cts = 0;
+  /// Max cts over F and the suffix deltas.
+  Ts any_cts = 0;
+  /// Nodes from X down to F, both included.
+  size_t hops = 0;
+};
+
 struct VersionNode {
+  ~VersionNode() { delete memo.load(std::memory_order_acquire); }
+
   /// Lifecycle word; stores of kCommitted/kCommittedDelta use release
   /// ordering so `cts` and `payload` are visible to any reader that
   /// acquires the status.
@@ -66,6 +115,10 @@ struct VersionNode {
   /// Next-older node (nullptr at the chain tail). Written by the
   /// installing CAS and by Vacuum unlinks.
   std::atomic<VersionNode*> prev{nullptr};
+  /// Fold memo of the clean suffix topped by this (committed delta)
+  /// node; null until a reader attaches one. Mutable: readers attach it
+  /// through const chain pointers.
+  mutable std::atomic<FoldMemo*> memo{nullptr};
   /// Identity of the installing transaction; valid while kPending. Used
   /// to distinguish a transaction's own pending nodes from foreign ones.
   const void* owner = nullptr;
@@ -115,9 +168,13 @@ inline void ApplyDeltaValue(Value* cell, const Value& increment) {
   }
 }
 
-/// One row's chain: an atomic head pointer, newest node first.
+/// One row's chain: an atomic head pointer, newest node first, and its
+/// physical length (all nodes: pending, aborted, committed) — the
+/// dead-tuple bloat a heap scan pays for until Vacuum runs. Every link
+/// and unlink below updates `length`, so a scan meters it in O(1).
 struct VersionChain {
   std::atomic<VersionNode*> head{nullptr};
+  std::atomic<size_t> length{0};
 };
 
 /// Unconditionally links `node` above the current head (pre-ordered
@@ -128,6 +185,7 @@ inline void PushHead(VersionChain* chain, VersionNode* node) {
     node->prev.store(cur, std::memory_order_relaxed);
   } while (!chain->head.compare_exchange_weak(
       cur, node, std::memory_order_release, std::memory_order_acquire));
+  chain->length.fetch_add(1, std::memory_order_relaxed);
 }
 
 /// Links `node` above `expected_head` only if the head is still
@@ -137,28 +195,28 @@ inline bool TryPushHead(VersionChain* chain, VersionNode* node,
                         VersionNode* expected_head) {
   node->prev.store(expected_head, std::memory_order_relaxed);
   VersionNode* expected = expected_head;
-  return chain->head.compare_exchange_strong(
-      expected, node, std::memory_order_release, std::memory_order_acquire);
-}
-
-/// Unlinks `node` from `*link` (the head pointer or a retained
-/// predecessor's `prev`). Fails if a concurrent install changed the link.
-inline bool Unlink(std::atomic<VersionNode*>* link, VersionNode* node) {
-  VersionNode* expected = node;
-  return link->compare_exchange_strong(
-      expected, node->prev.load(std::memory_order_acquire),
-      std::memory_order_acq_rel, std::memory_order_acquire);
-}
-
-/// Physical chain length (all nodes: pending, aborted, committed) — the
-/// dead-tuple bloat a heap scan pays for until Vacuum runs.
-inline size_t ChainLength(const VersionNode* head) {
-  size_t n = 0;
-  for (const VersionNode* node = head; node != nullptr;
-       node = node->prev.load(std::memory_order_acquire)) {
-    ++n;
+  if (!chain->head.compare_exchange_strong(expected, node,
+                                           std::memory_order_release,
+                                           std::memory_order_acquire)) {
+    return false;
   }
-  return n;
+  chain->length.fetch_add(1, std::memory_order_relaxed);
+  return true;
+}
+
+/// Unlinks `node` of `chain` from `*link` (the head pointer or a
+/// retained predecessor's `prev`). Fails if a concurrent install changed
+/// the link.
+inline bool Unlink(VersionChain* chain, std::atomic<VersionNode*>* link,
+                   VersionNode* node) {
+  VersionNode* expected = node;
+  if (!link->compare_exchange_strong(
+          expected, node->prev.load(std::memory_order_acquire),
+          std::memory_order_acq_rel, std::memory_order_acquire)) {
+    return false;
+  }
+  chain->length.fetch_sub(1, std::memory_order_relaxed);
+  return true;
 }
 
 /// Frees a whole chain. Only safe when no concurrent reader can hold the
@@ -170,6 +228,24 @@ inline void FreeChain(VersionNode* head) {
     delete node;
     node = older;
   }
+}
+
+/// The memo attached to `node`, or nullptr.
+inline const FoldMemo* MemoOf(const VersionNode* node) {
+  return node->memo.load(std::memory_order_acquire);
+}
+
+/// Attaches `memo` to `node` unless one is already there (set once:
+/// losing the race frees `memo`). Returns the memo now attached.
+inline const FoldMemo* AttachMemo(const VersionNode* node, FoldMemo* memo) {
+  FoldMemo* expected = nullptr;
+  if (node->memo.compare_exchange_strong(expected, memo,
+                                         std::memory_order_release,
+                                         std::memory_order_acquire)) {
+    return memo;
+  }
+  delete memo;
+  return expected;
 }
 
 /// What a fold observed; feeds first-updater-wins and OCC read
@@ -202,6 +278,7 @@ class DeltaBuffer {
     return size_ > kInline ? spill_.data() : inline_;
   }
   const VersionNode** end() { return begin() + size_; }
+  size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
  private:
@@ -211,6 +288,38 @@ class DeltaBuffer {
   size_t size_ = 0;
 };
 
+/// Stable insertion sort of `[begin, end)` by cts, assuming `[begin,
+/// sorted)` is already sorted. Deltas arrive nearly in cts order (the
+/// ordered commit tail publishes in cts order), so this is close to
+/// linear; stability orders equal-cts deltas (one transaction
+/// incrementing a row twice) by install order.
+inline void SortDeltasByCts(const VersionNode** begin,
+                            const VersionNode** sorted,
+                            const VersionNode** end) {
+  for (const VersionNode** it = sorted; it != end; ++it) {
+    const VersionNode* node = *it;
+    const Ts cts = node->cts.load(std::memory_order_relaxed);
+    const VersionNode** hole = it;
+    while (hole != begin &&
+           (*(hole - 1))->cts.load(std::memory_order_relaxed) > cts) {
+      *hole = *(hole - 1);
+      --hole;
+    }
+    *hole = node;
+  }
+}
+
+/// Applies `[begin, end)` (sorted by cts) to `*row`; returns the max cts
+/// applied, or `any` if the range is empty.
+inline Ts ApplyDeltas(Row* row, const VersionNode* const* begin,
+                      const VersionNode* const* end, Ts any) {
+  for (const VersionNode* const* it = begin; it != end; ++it) {
+    ApplyDeltaValue(&(*row)[(*it)->delta_column], (*it)->payload[0]);
+    any = std::max(any, (*it)->cts.load(std::memory_order_relaxed));
+  }
+  return any;
+}
+
 /// Resolves the version of a chain visible at `snapshot`: walks newest to
 /// oldest skipping pending/aborted nodes and versions newer than the
 /// snapshot, accumulates visible committed deltas, and folds them over
@@ -219,16 +328,24 @@ class DeltaBuffer {
 /// after-image was computed from a read that folded all deltas below it)
 /// and are ignored.
 ///
+/// The walk stops early at the first usable FoldMemo (see its contract)
+/// and folds the collected deltas over the memo's row instead. A walk
+/// that folds at least kMemoMinDeltas deltas of a clean suffix (no
+/// pending, aborted or invisible node between them and the full version
+/// or memo they fold onto) attaches a memo to the suffix's top node, so
+/// a hot row's next read costs the versions committed since.
+///
 /// Copy-free when it can be: if the visible version is a committed full
-/// version with no deltas above it, returns that node's payload in
+/// version (or a memo) with no deltas above it, returns that payload in
 /// place; otherwise folds into `*scratch` and returns `scratch`. Returns
 /// nullptr if no version is visible (row created later, or tombstoned as
 /// of the snapshot). A returned payload is immutable (published nodes
-/// never change) but lives only as long as the node: the caller must
-/// hold an EpochManager::Guard from the chain load until its last use,
-/// since Vacuum may unlink and retire the node at any time after.
+/// and memos never change) but lives only as long as its node: the
+/// caller must hold an EpochManager::Guard from the chain load until its
+/// last use, since Vacuum may unlink and retire the node at any time
+/// after.
 ///
-/// Meters one version_hop per node visited, matching the
+/// Meters one version_hop per node a full walk would visit, matching the
 /// newest-to-oldest walk of the previous vector-based chains.
 inline const Row* ResolveVisible(const VersionNode* head, Ts snapshot,
                                  Row* scratch, FoldObservation* obs,
@@ -238,43 +355,91 @@ inline const Row* ResolveVisible(const VersionNode* head, Ts snapshot,
   // commit order. Collect, then replay in cts order below so every
   // store folds to the bit-identical value.
   DeltaBuffer deltas;
-  for (const VersionNode* node = head; node != nullptr;
-       node = node->prev.load(std::memory_order_acquire)) {
-    if (meter != nullptr) ++meter->version_hops;
+  Ts min_delta_cts = kMaxTs;
+  size_t hops = 0;
+  // The clean run: contiguous committed nodes visible at the snapshot,
+  // ending at the node the walk stopped on. `clean_first` indexes its
+  // first collected delta.
+  const VersionNode* clean_top = nullptr;
+  size_t clean_hops = 0;
+  size_t clean_first = 0;
+  const VersionNode* node = head;
+  const FoldMemo* base_memo = nullptr;
+  for (; node != nullptr; node = node->prev.load(std::memory_order_acquire)) {
+    ++hops;
     const VersionStatus st = StatusOf(node);
-    if (!IsCommitted(st)) continue;  // pending or aborted: invisible
-    const Ts cts = node->cts.load(std::memory_order_relaxed);
-    if (cts > snapshot) continue;
-    if (st == VersionStatus::kCommittedDelta) {
-      deltas.push_back(node);
+    const Ts cts =
+        IsCommitted(st) ? node->cts.load(std::memory_order_relaxed) : 0;
+    if (!IsCommitted(st) || cts > snapshot) {
+      clean_top = nullptr;  // pending, aborted or too new: invisible
+      clean_hops = 0;
+      clean_first = deltas.size();
       continue;
     }
-    // First committed full version at or below the snapshot.
-    if (node->tombstone) return nullptr;  // deleted as of snapshot
-    if (meter != nullptr) ++meter->rows_read;
-    if (deltas.empty()) {
-      if (obs != nullptr) obs->full_cts = obs->any_cts = cts;
-      return &node->payload;
+    if (clean_hops++ == 0) clean_top = node;
+    if (st == VersionStatus::kCommitted) break;
+    const FoldMemo* memo = MemoOf(node);
+    if (memo != nullptr && snapshot >= memo->any_cts &&
+        min_delta_cts > memo->any_cts) {
+      base_memo = memo;
+      break;
     }
-    *scratch = node->payload;
-    Ts any = cts;
-    std::sort(deltas.begin(), deltas.end(),
-              [](const VersionNode* a, const VersionNode* b) {
-                return a->cts.load(std::memory_order_relaxed) <
-                       b->cts.load(std::memory_order_relaxed);
-              });
-    for (const VersionNode* d : deltas) {
-      ApplyDeltaValue(&(*scratch)[d->delta_column], d->payload[0]);
-      const Ts dts = d->cts.load(std::memory_order_relaxed);
-      if (dts > any) any = dts;
-    }
-    if (obs != nullptr) {
-      obs->full_cts = cts;
-      obs->any_cts = any;
-    }
-    return scratch;
+    deltas.push_back(node);
+    min_delta_cts = std::min(min_delta_cts, cts);
   }
-  return nullptr;  // row did not exist at snapshot
+  if (node == nullptr) {
+    if (meter != nullptr) meter->version_hops += hops;
+    return nullptr;  // row did not exist at snapshot
+  }
+  if (base_memo != nullptr) hops += base_memo->hops - 1;
+  if (meter != nullptr) meter->version_hops += hops;
+  if (base_memo == nullptr && node->tombstone) {
+    return nullptr;  // deleted as of snapshot
+  }
+  if (meter != nullptr) ++meter->rows_read;
+  const Row& base = base_memo != nullptr ? base_memo->row : node->payload;
+  const Ts full_cts = base_memo != nullptr
+                          ? base_memo->full_cts
+                          : node->cts.load(std::memory_order_relaxed);
+  const Ts base_any = base_memo != nullptr ? base_memo->any_cts : full_cts;
+  if (deltas.empty()) {
+    if (obs != nullptr) {
+      obs->full_cts = full_cts;
+      obs->any_cts = base_any;
+    }
+    return &base;
+  }
+  // Oldest first, then sort: the clean run's deltas form the prefix.
+  std::reverse(deltas.begin(), deltas.end());
+  const VersionNode** all = deltas.begin();
+  const VersionNode** clean_end = all + (deltas.size() - clean_first);
+  SortDeltasByCts(all, all, clean_end);
+  if (static_cast<size_t>(clean_end - all) >= kMemoMinDeltas &&
+      MemoOf(clean_top) == nullptr) {
+    auto* memo = new FoldMemo();
+    memo->row = base;
+    memo->any_cts = ApplyDeltas(&memo->row, all, clean_end, base_any);
+    memo->full_cts = full_cts;
+    memo->hops =
+        clean_hops + (base_memo != nullptr ? base_memo->hops - 1 : 0);
+    const FoldMemo* attached = AttachMemo(clean_top, memo);
+    if (clean_first == 0) {
+      // The clean run is the whole fold: the memo is the result.
+      if (obs != nullptr) {
+        obs->full_cts = attached->full_cts;
+        obs->any_cts = attached->any_cts;
+      }
+      return &attached->row;
+    }
+  }
+  SortDeltasByCts(all, clean_end, deltas.end());
+  *scratch = base;
+  const Ts any = ApplyDeltas(scratch, all, deltas.end(), base_any);
+  if (obs != nullptr) {
+    obs->full_cts = full_cts;
+    obs->any_cts = any;
+  }
+  return scratch;
 }
 
 /// ResolveVisible into an owned row: `*out` receives the visible version

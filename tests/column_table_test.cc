@@ -1,10 +1,18 @@
 // Tests for the columnar table: typed storage, dictionary encoding, zone
-// maps (correctness of pruning bounds), in-place updates and copies.
+// maps (correctness of pruning bounds), in-place updates and copies, and
+// the bitmap-mode version log (per-rid newest-version index, copy-free
+// session snapshots under concurrent commits).
+
+#include <atomic>
+#include <cstring>
+#include <deque>
+#include <thread>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "storage/column_table.h"
+#include "txn/mvcc.h"
 
 namespace hattrick {
 namespace {
@@ -171,6 +179,225 @@ TEST(ColumnTableTest, MeterCountsCells) {
                            &meter).ok());
   EXPECT_EQ(meter.rows_written, 1u);
   EXPECT_EQ(meter.column_values, 3u);
+}
+
+// --------------------------------------------------------------------------
+// Version log (bitmap merge mode)
+// --------------------------------------------------------------------------
+
+Schema Numeric() {
+  return Schema({{"i", DataType::kInt64},
+                 {"d", DataType::kDouble},
+                 {"s", DataType::kString}});
+}
+
+uint64_t Bits(double d) {
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof bits);
+  return bits;
+}
+
+void ExpectSameBits(const Row& got, const Row& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t c = 0; c < got.size(); ++c) {
+    if (want[c].is_double()) {
+      EXPECT_EQ(Bits(got[c].AsDouble()), Bits(want[c].AsDouble()))
+          << "col " << c;
+    } else {
+      EXPECT_EQ(got[c], want[c]) << "col " << c;
+    }
+  }
+}
+
+/// The newest version of `rid` in `snap`: its override or insert row, or
+/// the base row.
+Row NewestInSnapshot(const ColumnTable& table, const ColumnDeltaSnapshot& snap,
+                     size_t rid) {
+  if (rid >= snap.base_rows) return snap.InsertRow(rid);
+  if (snap.DirtyBit(rid)) return snap.OverrideRow(rid);
+  return table.GetRow(rid);
+}
+
+// AppendDeltaVersion materializes each increment over the row's newest
+// version through the per-rid index. A test-side mirror of the log finds
+// that version the old way — a reverse scan of the whole log, else the
+// base row — across interleaved inserts, updates, deltas, folds,
+// TruncateTo and CopyFrom; both must give the same rows, bit for bit.
+TEST(ColumnVersionLogTest, DeltaIndexMatchesReverseScan) {
+  struct MirrorOp {
+    uint64_t csn;
+    size_t rid;
+    Row row;
+  };
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    Rng rng(seed);
+    ColumnTable table(Numeric());
+    ColumnTable copy(Numeric());
+    for (int i = 0; i < 8; ++i) {
+      ASSERT_TRUE(table.Append(Row{int64_t{i}, 0.1 * i, std::string("b")},
+                               nullptr).ok());
+    }
+    std::deque<MirrorOp> mirror;
+    uint64_t csn = 1;
+    const auto reverse_scan = [&](size_t rid) {
+      for (auto it = mirror.rbegin(); it != mirror.rend(); ++it) {
+        if (it->rid == rid) return it->row;
+      }
+      return table.GetRow(rid);
+    };
+    for (int step = 0; step < 600; ++step) {
+      const size_t base = table.num_rows();
+      // Pending inserts occupy the rids right after the base.
+      size_t pending_inserted = 0;
+      for (const MirrorOp& op : mirror) {
+        if (op.rid >= base) pending_inserted = std::max(pending_inserted,
+                                                        op.rid - base + 1);
+      }
+      const size_t rows = base + pending_inserted;
+      const int op = static_cast<int>(rng.Uniform(0, 99));
+      ++csn;
+      if (op < 15) {
+        const Row row{static_cast<int64_t>(rows), rng.NextDouble(),
+                      std::string("ins")};
+        table.AppendVersion(csn, rows, row);
+        mirror.push_back({csn, rows, row});
+      } else if (op < 30) {
+        const size_t rid = static_cast<size_t>(
+            rng.Uniform(0, static_cast<int64_t>(rows) - 1));
+        const Row row{static_cast<int64_t>(rid), rng.NextDouble(),
+                      std::string("upd")};
+        table.UpdateVersion(csn, rid, row);
+        mirror.push_back({csn, rid, row});
+      } else if (op < 85) {
+        // Deltas concentrate on a few hot rids, the rest spread over
+        // every row, pending inserts included.
+        const int64_t last = static_cast<int64_t>(rows) - 1;
+        const size_t rid = static_cast<size_t>(
+            rng.Uniform(0, rng.Bernoulli(0.7) ? std::min<int64_t>(3, last)
+                                              : last));
+        const bool on_double = rng.Bernoulli(0.7);
+        const size_t col = on_double ? 1 : 0;
+        const Value inc = on_double ? Value(rng.NextDouble() * 1e9)
+                                    : Value(rng.Uniform(-3, 3));
+        Row want = reverse_scan(rid);
+        mvcc::ApplyDeltaValue(&want[col], inc);
+        table.AppendDeltaVersion(csn, rid, col, inc);
+        mirror.push_back({csn, rid, want});
+        ColumnDeltaSnapshot snap;
+        table.SnapshotVersions(csn, &snap, nullptr);
+        ExpectSameBits(NewestInSnapshot(table, snap, rid), want);
+      } else if (op < 93) {
+        const uint64_t horizon = csn - static_cast<uint64_t>(
+                                           rng.Uniform(0, 20));
+        table.FoldVersions(horizon, nullptr);
+        while (!mirror.empty() && mirror.front().csn <= horizon) {
+          mirror.pop_front();
+        }
+      } else if (op < 97) {
+        if (base <= 4) continue;
+        table.TruncateTo(base - static_cast<size_t>(rng.Uniform(0, 2)));
+        mirror.clear();
+      } else {
+        // Round-trip through a copy: the destination's log is dropped.
+        table.FoldVersions(csn, nullptr);
+        copy.CopyFrom(table);
+        table.AppendDeltaVersion(++csn, 0, 1, Value(1.0));
+        table.CopyFrom(copy);
+        mirror.clear();
+      }
+      ASSERT_EQ(table.PendingVersions(), mirror.size()) << "step " << step;
+      if (HasFatalFailure()) return;
+    }
+    // The folded base equals the mirror replayed in commit order.
+    ColumnDeltaSnapshot snap;
+    table.SnapshotVersions(csn, &snap, nullptr);
+    for (size_t rid = 0; rid < snap.bound; ++rid) {
+      ExpectSameBits(NewestInSnapshot(table, snap, rid), reverse_scan(rid));
+    }
+  }
+}
+
+// A session snapshot points into the version log instead of copying it.
+// A reader keeps reading the snapshot's override and insert rows while a
+// writer appends well over 1000 commits to the same log (push_back only,
+// as commits do while a session holds its pin): every row must stay
+// intact. Run under ThreadSanitizer via the tsan label.
+TEST(ColumnVersionLogTest, SnapshotRowsSurviveConcurrentCommits) {
+  constexpr int kBase = 64;
+  constexpr int kCommits = 3000;
+  ColumnTable table(Numeric());
+  for (int i = 0; i < kBase; ++i) {
+    ASSERT_TRUE(table.Append(Row{int64_t{i}, 0.0, std::string("base")},
+                             nullptr).ok());
+  }
+  uint64_t csn = 1;
+  size_t rows = kBase;
+  // Overrides on the even base rids, and a few inserts.
+  for (int i = 0; i < kBase; i += 2) {
+    table.UpdateVersion(++csn, i,
+                        Row{int64_t{i}, 1.0 * i, std::string("override")});
+  }
+  for (int i = 0; i < 16; ++i) {
+    table.AppendVersion(++csn, rows,
+                        Row{static_cast<int64_t>(rows), 2.0 * i,
+                            std::string("insert")});
+    ++rows;
+  }
+  ColumnDeltaSnapshot snap;
+  table.SnapshotVersions(csn, &snap, nullptr);
+  ASSERT_EQ(snap.overrides.size(), static_cast<size_t>(kBase / 2));
+  ASSERT_EQ(snap.bound, static_cast<size_t>(kBase + 16));
+
+  std::atomic<bool> done{false};
+  std::atomic<bool> reading{false};
+  std::thread writer([&] {
+    while (!reading.load()) std::this_thread::yield();
+    Rng rng(3);
+    uint64_t wcsn = csn;
+    size_t wrows = rows;
+    for (int n = 0; n < kCommits; ++n) {
+      const size_t rid = static_cast<size_t>(rng.Uniform(0, kBase - 1));
+      switch (n % 3) {
+        case 0:
+          table.AppendDeltaVersion(++wcsn, rid, 1, Value(0.5));
+          break;
+        case 1:
+          table.UpdateVersion(++wcsn, rid,
+                              Row{static_cast<int64_t>(rid), -1.0,
+                                  std::string("later")});
+          break;
+        default:
+          table.AppendVersion(++wcsn, wrows,
+                              Row{static_cast<int64_t>(wrows), -2.0,
+                                  std::string("later")});
+          ++wrows;
+          break;
+      }
+    }
+    done.store(true);
+  });
+  size_t passes = 0;
+  do {
+    reading.store(true);
+    for (int rid = 0; rid < kBase; rid += 2) {
+      const Row& row = snap.OverrideRow(rid);
+      EXPECT_EQ(row[0].AsInt(), rid);
+      EXPECT_EQ(row[1].AsDouble(), 1.0 * rid);
+      EXPECT_EQ(row[2].AsString(), "override");
+    }
+    for (size_t rid = kBase; rid < snap.bound; ++rid) {
+      const Row& row = snap.InsertRow(rid);
+      EXPECT_EQ(row[0].AsInt(), static_cast<int64_t>(rid));
+      EXPECT_EQ(row[1].AsDouble(), 2.0 * (rid - kBase));
+      EXPECT_EQ(row[2].AsString(), "insert");
+    }
+    ++passes;
+  } while (!done.load());
+  writer.join();
+  EXPECT_GT(passes, 0u);
+  EXPECT_EQ(table.PendingVersions(),
+            static_cast<size_t>(kBase / 2 + 16 + kCommits));
 }
 
 }  // namespace

@@ -1,9 +1,15 @@
 // Tests for the MVCC row store: version visibility, snapshot isolation of
-// reads, deletes, vacuum, copy semantics, and the zero-copy heap scan
-// (differential against per-rid reads, plus a concurrent vacuum stress).
+// reads, deletes, vacuum, copy semantics, the zero-copy heap scan
+// (differential against per-rid reads, plus a concurrent vacuum stress),
+// and fold memos (differential against a naive resolver, plus a
+// concurrent memo/vacuum stress).
 
+#include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <map>
+#include <memory>
+#include <mutex>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -422,6 +428,475 @@ TEST(RowTableScanTest, PayloadReferencesSurviveConcurrentVacuum) {
   scanner_a.join();
   scanner_b.join();
   table.Vacuum(cts);
+}
+
+// --------------------------------------------------------------------------
+// Fold memos
+// --------------------------------------------------------------------------
+
+Schema DeltaCols() {
+  return Schema({{"k", DataType::kInt64},
+                 {"v", DataType::kDouble},
+                 {"n", DataType::kInt64}});
+}
+
+uint64_t Bits(double d) {
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof bits);
+  return bits;
+}
+
+/// Bit-exact row equality: doubles compare by bit pattern.
+void ExpectSameBits(const Row& got, const Row& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t c = 0; c < got.size(); ++c) {
+    if (want[c].is_double()) {
+      ASSERT_TRUE(got[c].is_double()) << "col " << c;
+      EXPECT_EQ(Bits(got[c].AsDouble()), Bits(want[c].AsDouble()))
+          << "col " << c << ": " << got[c].AsDouble() << " vs "
+          << want[c].AsDouble();
+    } else {
+      EXPECT_EQ(got[c], want[c]) << "col " << c;
+    }
+  }
+}
+
+/// A test-local model of one row's physical chain and a naive resolver
+/// over it: no memos, no early stops. Nodes are in install order (back
+/// is the head).
+struct NaiveNode {
+  mvcc::VersionStatus status;
+  Ts cts = 0;
+  bool delta = false;
+  bool tombstone = false;
+  uint32_t column = 0;
+  Row payload;
+  const void* owner = nullptr;
+  mvcc::VersionNode* handle = nullptr;  // pending nodes only
+};
+
+struct NaiveRead {
+  bool visible = false;
+  Row row;
+  mvcc::FoldObservation obs;
+  uint64_t hops = 0;
+  uint64_t rows_read = 0;
+};
+
+bool Committed(const NaiveNode& n) {
+  return n.status == mvcc::VersionStatus::kCommitted ||
+         n.status == mvcc::VersionStatus::kCommittedDelta;
+}
+
+/// Collects the visible deltas above the first visible full version,
+/// sorts them by cts (equal cts in install order) and applies them over
+/// it; one hop per node walked.
+NaiveRead NaiveResolve(const std::vector<NaiveNode>& chain, Ts snapshot) {
+  NaiveRead r;
+  std::vector<const NaiveNode*> deltas;  // newest first
+  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+    ++r.hops;
+    if (!Committed(*it) || it->cts > snapshot) continue;
+    if (it->delta) {
+      deltas.push_back(&*it);
+      continue;
+    }
+    if (it->tombstone) return r;
+    r.visible = true;
+    r.rows_read = 1;
+    r.row = it->payload;
+    r.obs.full_cts = r.obs.any_cts = it->cts;
+    std::reverse(deltas.begin(), deltas.end());
+    std::stable_sort(deltas.begin(), deltas.end(),
+                     [](const NaiveNode* a, const NaiveNode* b) {
+                       return a->cts < b->cts;
+                     });
+    for (const NaiveNode* d : deltas) {
+      mvcc::ApplyDeltaValue(&r.row[d->column], d->payload[0]);
+      r.obs.any_cts = std::max(r.obs.any_cts, d->cts);
+    }
+    return r;
+  }
+  return r;
+}
+
+bool NaiveValidateRead(const std::vector<NaiveNode>& chain, Ts observed,
+                       const void* owner) {
+  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+    if (it->status == mvcc::VersionStatus::kPending) {
+      if (!it->delta && it->owner != owner) return false;
+      continue;
+    }
+    if (it->status == mvcc::VersionStatus::kCommitted) {
+      return it->cts == observed;
+    }
+  }
+  return observed == 0;
+}
+
+/// True iff TryInstallFull(owner, base_ts) must succeed.
+bool NaiveCanInstallFull(const std::vector<NaiveNode>& chain,
+                         const void* owner, Ts base_ts) {
+  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+    if (it->status == mvcc::VersionStatus::kAborted) continue;
+    if (it->status == mvcc::VersionStatus::kPending) {
+      if (it->owner != owner) return false;
+      continue;
+    }
+    if (it->cts > base_ts) return false;
+    if (it->status == mvcc::VersionStatus::kCommitted) break;
+  }
+  return true;
+}
+
+/// True iff TryInstallDelta(owner) must succeed.
+bool NaiveCanInstallDelta(const std::vector<NaiveNode>& chain,
+                          const void* owner) {
+  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+    if (it->status == mvcc::VersionStatus::kPending && !it->delta &&
+        it->owner != owner) {
+      return false;
+    }
+    if (it->status == mvcc::VersionStatus::kCommitted) break;
+  }
+  return true;
+}
+
+/// RowTable::Vacuum's unlink rule, applied to the model.
+void NaiveVacuum(std::vector<NaiveNode>* chain, Ts horizon) {
+  std::vector<NaiveNode> kept;  // newest first
+  bool superseded = false;
+  for (auto it = chain->rbegin(); it != chain->rend(); ++it) {
+    if (it->status == mvcc::VersionStatus::kAborted ||
+        (superseded && Committed(*it))) {
+      continue;
+    }
+    if (it->status == mvcc::VersionStatus::kCommitted && it->cts <= horizon) {
+      superseded = true;
+    }
+    kept.push_back(*it);
+  }
+  chain->assign(kept.rbegin(), kept.rend());
+}
+
+/// A double increment whose rounding depends on the order it is added
+/// in: magnitudes span 1e-3 .. 1e15.
+double OrderSensitiveIncrement(Rng* rng) {
+  const double scale[] = {1e-3, 0.1, 1.0, 7.3, 1e6, 1e15};
+  const double sign = rng->Bernoulli(0.3) ? -1.0 : 1.0;
+  return sign * scale[rng->Uniform(0, 5)] * (1.0 + rng->NextDouble());
+}
+
+class FoldMemoOracleTest : public ::testing::TestWithParam<int> {};
+
+// Random single-threaded histories over a few hot rows, each probe
+// checked against the naive resolver: bit-equal folds, equal meters and
+// observations, and equal ValidateRead/TryInstall* outcomes. Histories
+// publish deltas out of install order, leave pending and aborted nodes
+// at and below the head, delete and resurrect rows, read below memos'
+// any_cts, vacuum between probes, and continue on CopyFrom copies.
+TEST_P(FoldMemoOracleTest, MatchesNaiveResolver) {
+  constexpr int kRows = 3;
+  constexpr int kSteps = 1500;
+  Rng rng(static_cast<uint64_t>(GetParam()));
+  std::vector<std::unique_ptr<RowTable>> tables;  // old copies stay alive
+  tables.push_back(std::make_unique<RowTable>(DeltaCols()));
+  RowTable* table = tables.back().get();
+  std::vector<std::vector<NaiveNode>> model(kRows);
+  Ts clock = 1;
+  for (int r = 0; r < kRows; ++r) {
+    const Row row{int64_t{r}, 0.5 * r, int64_t{0}};
+    table->Insert(row, clock, nullptr);
+    model[r].push_back(NaiveNode{mvcc::VersionStatus::kCommitted, clock,
+                                 false, false, 0, row});
+  }
+  // Distinct owner identities for pending writers.
+  const int owners[4] = {};
+  const auto owner_of = [&](int i) -> const void* { return &owners[i]; };
+
+  const auto check_read = [&](int rid, Ts snapshot) {
+    SCOPED_TRACE("rid=" + std::to_string(rid) +
+                 " snapshot=" + std::to_string(snapshot));
+    const NaiveRead want = NaiveResolve(model[rid], snapshot);
+    Row got;
+    mvcc::FoldObservation obs;
+    WorkMeter meter;
+    const bool visible =
+        snapshot == kMaxTs
+            ? table->ReadLatestObserved(rid, &got, &obs, &meter)
+            : table->ReadObserved(rid, snapshot, &got, &obs, &meter);
+    ASSERT_EQ(visible, want.visible);
+    EXPECT_EQ(meter.version_hops, want.hops);
+    EXPECT_EQ(meter.rows_read, want.rows_read);
+    if (!visible) return;
+    ExpectSameBits(got, want.row);
+    EXPECT_EQ(obs.full_cts, want.obs.full_cts);
+    EXPECT_EQ(obs.any_cts, want.obs.any_cts);
+  };
+
+  for (int step = 0; step < kSteps; ++step) {
+    const int rid = static_cast<int>(rng.Uniform(0, kRows - 1));
+    std::vector<NaiveNode>& chain = model[rid];
+    const int op = static_cast<int>(rng.Uniform(0, 99));
+    if (op < 35) {
+      // A committed delta; its cts may land below deltas already linked.
+      const Ts cts = clock + static_cast<Ts>(rng.Uniform(1, 6));
+      clock = std::max(clock, cts - 3);
+      const bool on_double = rng.Bernoulli(0.7);
+      const uint32_t col = on_double ? 1 : 2;
+      const Value inc = on_double ? Value(OrderSensitiveIncrement(&rng))
+                                  : Value(rng.Uniform(-5, 5));
+      ASSERT_TRUE(table->AddDeltaVersion(rid, col, inc, cts, nullptr).ok());
+      chain.push_back(NaiveNode{mvcc::VersionStatus::kCommittedDelta, cts,
+                                true, false, col, Row{inc}});
+    } else if (op < 38) {
+      // A committed full version or tombstone.
+      clock += 1 + static_cast<Ts>(rng.Uniform(0, 2));
+      if (rng.Bernoulli(0.25)) {
+        ASSERT_TRUE(table->MarkDeleted(rid, clock, nullptr).ok());
+        chain.push_back(NaiveNode{mvcc::VersionStatus::kCommitted, clock,
+                                  false, true, 0, Row{}});
+      } else {
+        const Row row{int64_t{rid}, rng.NextDouble(), rng.Uniform(0, 9)};
+        ASSERT_TRUE(table->AddVersion(rid, row, clock, nullptr).ok());
+        chain.push_back(NaiveNode{mvcc::VersionStatus::kCommitted, clock,
+                                  false, false, 0, row});
+      }
+    } else if (op < 46) {
+      // A pending delta or full install by one of the owners.
+      const int who = static_cast<int>(rng.Uniform(0, 3));
+      if (rng.Bernoulli(0.75)) {
+        const Value inc(OrderSensitiveIncrement(&rng));
+        const bool ok = NaiveCanInstallDelta(chain, owner_of(who));
+        mvcc::VersionNode* node =
+            table->TryInstallDelta(rid, 1, inc, owner_of(who), nullptr);
+        ASSERT_EQ(node != nullptr, ok);
+        if (node != nullptr) {
+          chain.push_back(NaiveNode{mvcc::VersionStatus::kPending, 0, true,
+                                    false, 1, Row{inc}, owner_of(who),
+                                    node});
+        }
+      } else {
+        // Half the writers base on the newest state, half on a stale one.
+        const Ts base =
+            rng.Bernoulli(0.5)
+                ? clock
+                : static_cast<Ts>(
+                      rng.Uniform(0, static_cast<int64_t>(clock)));
+        const Row row{int64_t{rid}, rng.NextDouble(), int64_t{-1}};
+        const bool ok = NaiveCanInstallFull(chain, owner_of(who), base);
+        mvcc::VersionNode* node =
+            table->TryInstallFull(rid, row, owner_of(who), base, nullptr);
+        ASSERT_EQ(node != nullptr, ok);
+        if (node != nullptr) {
+          chain.push_back(NaiveNode{mvcc::VersionStatus::kPending, 0, false,
+                                    false, 0, row, owner_of(who), node});
+        }
+      }
+    } else if (op < 54) {
+      // Publish or withdraw a pending node (any depth): publishes land
+      // out of install order.
+      std::vector<NaiveNode*> pending;
+      for (NaiveNode& n : chain) {
+        if (n.status == mvcc::VersionStatus::kPending) pending.push_back(&n);
+      }
+      if (pending.empty()) continue;
+      NaiveNode* n = pending[rng.Uniform(
+          0, static_cast<int64_t>(pending.size()) - 1)];
+      if (rng.Bernoulli(0.7)) {
+        clock += 1 + static_cast<Ts>(rng.Uniform(0, 2));
+        mvcc::Publish(n->handle, clock);
+        n->cts = clock;
+        n->status = n->delta ? mvcc::VersionStatus::kCommittedDelta
+                             : mvcc::VersionStatus::kCommitted;
+      } else {
+        mvcc::Withdraw(n->handle);
+        n->status = mvcc::VersionStatus::kAborted;
+      }
+      n->handle = nullptr;
+    } else if (op < 85) {
+      // Reads: latest (builds memos), recent, and old snapshots that
+      // fall below the memos' any_cts.
+      check_read(rid, kMaxTs);
+      check_read(rid, clock);
+      check_read(rid, static_cast<Ts>(rng.Uniform(0, static_cast<int64_t>(
+                                                         clock) + 3)));
+    } else if (op < 93) {
+      const Ts observed = NaiveResolve(chain, kMaxTs).obs.full_cts;
+      const Ts stale = static_cast<Ts>(rng.Uniform(0, static_cast<int64_t>(
+                                                          clock)));
+      for (const Ts t : {observed, stale}) {
+        for (int who = 0; who < 4; ++who) {
+          EXPECT_EQ(table->ValidateRead(rid, t, owner_of(who)),
+                    NaiveValidateRead(chain, t, owner_of(who)))
+              << "rid=" << rid << " observed=" << t;
+        }
+      }
+    } else if (op < 98) {
+      const Ts horizon =
+          static_cast<Ts>(rng.Uniform(0, static_cast<int64_t>(clock)));
+      table->Vacuum(horizon);
+      for (std::vector<NaiveNode>& c : model) NaiveVacuum(&c, horizon);
+    } else {
+      // Continue on a copy: pending and aborted nodes are dropped (their
+      // handles stay with the old table), memos are rebuilt.
+      tables.push_back(std::make_unique<RowTable>(DeltaCols()));
+      tables.back()->CopyFrom(*table);
+      table = tables.back().get();
+      for (std::vector<NaiveNode>& c : model) {
+        c.erase(std::remove_if(c.begin(), c.end(),
+                               [](const NaiveNode& n) { return !Committed(n); }),
+                c.end());
+      }
+    }
+    size_t versions = 0;
+    for (const std::vector<NaiveNode>& c : model) versions += c.size();
+    ASSERT_EQ(table->NumVersions(), versions) << "step " << step;
+    if (HasFatalFailure()) return;
+  }
+  for (int r = 0; r < kRows; ++r) {
+    check_read(r, kMaxTs);
+    check_read(r, clock / 2);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FoldMemoOracleTest, ::testing::Range(1, 22));
+
+/// Reads one hand-built chain at `snapshot` through mvcc::ResolveVisible.
+Row ResolveChain(const mvcc::VersionChain& chain, Ts snapshot,
+                 WorkMeter* meter) {
+  Row scratch;
+  const Row* row = mvcc::ResolveVisible(
+      chain.head.load(std::memory_order_acquire), snapshot, &scratch,
+      nullptr, meter);
+  EXPECT_NE(row, nullptr);
+  return row == nullptr ? Row{} : *row;
+}
+
+size_t CountMemos(const mvcc::VersionChain& chain) {
+  size_t memos = 0;
+  for (const mvcc::VersionNode* n = chain.head.load(); n != nullptr;
+       n = n->prev.load()) {
+    if (mvcc::MemoOf(n) != nullptr) ++memos;
+  }
+  return memos;
+}
+
+// Folding a 1000-delta chain read after every install leaves at most one
+// memo per kMemoMinDeltas deltas, and every read costs the same hops as
+// a full walk while folding to the same bits as a serial cts-order sum.
+TEST(FoldMemoTest, MemoCountBoundedOnLongChain) {
+  constexpr int kDeltas = 1000;
+  mvcc::VersionChain chain;
+  auto* full = new mvcc::VersionNode();
+  full->payload = Row{int64_t{1}, 0.25, int64_t{0}};
+  mvcc::Publish(full, 1);
+  mvcc::PushHead(&chain, full);
+  Rng rng(99);
+  double serial = 0.25;
+  for (int i = 0; i < kDeltas; ++i) {
+    auto* node = new mvcc::VersionNode();
+    node->is_delta = true;
+    node->delta_column = 1;
+    const double inc = OrderSensitiveIncrement(&rng);
+    node->payload = Row{Value(inc)};
+    mvcc::Publish(node, 2 + i);
+    mvcc::PushHead(&chain, node);
+    serial += inc;
+    WorkMeter meter;
+    const Row row = ResolveChain(chain, kMaxTs, &meter);
+    ASSERT_EQ(Bits(row[1].AsDouble()), Bits(serial)) << "delta " << i;
+    EXPECT_EQ(meter.version_hops, static_cast<uint64_t>(i + 2));
+    EXPECT_EQ(meter.rows_read, 1u);
+  }
+  EXPECT_EQ(chain.length.load(), static_cast<size_t>(kDeltas + 1));
+  const size_t bound =
+      (kDeltas + mvcc::kMemoMinDeltas - 1) / mvcc::kMemoMinDeltas;
+  EXPECT_GT(CountMemos(chain), 0u);
+  EXPECT_LE(CountMemos(chain), bound);
+  mvcc::FreeChain(chain.head.load());
+}
+
+// Readers attach memos while writers publish deltas (in cts order, like
+// the commit tail), withdraw some, and Vacuum runs. Every read sees a
+// running total; the final fold equals the serial cts-order sum bit for
+// bit. Run under ThreadSanitizer via the tsan label.
+TEST(FoldMemoTest, ConcurrentMemosWritersAndVacuum) {
+  constexpr int kWriters = 2;
+  constexpr int kPerWriter = 1500;
+  RowTable table(DeltaCols());
+  const Rid rid = table.Insert(Row{int64_t{0}, 0.5, int64_t{0}}, 1, nullptr);
+  std::mutex tail_mu;  // the "commit tail": cts allocation + publish
+  Ts next_cts = 2;
+  std::vector<std::pair<Ts, double>> committed;  // guarded by tail_mu
+  std::atomic<int> writers_done{0};
+
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      Rng rng(100 + w);
+      const void* owner = &threads;  // deltas never conflict
+      for (int i = 0; i < kPerWriter; ++i) {
+        const double inc = OrderSensitiveIncrement(&rng);
+        mvcc::VersionNode* node =
+            table.TryInstallDelta(rid, 1, Value(inc), owner, nullptr);
+        ASSERT_NE(node, nullptr);
+        if (i % 7 == 3) {
+          mvcc::Withdraw(node);
+          continue;
+        }
+        std::lock_guard<std::mutex> lock(tail_mu);
+        const Ts cts = next_cts++;
+        mvcc::Publish(node, cts);
+        committed.emplace_back(cts, inc);
+      }
+      writers_done.fetch_add(1);
+    });
+  }
+  threads.emplace_back([&] {
+    while (writers_done.load() < kWriters) {
+      Ts horizon;
+      {
+        std::lock_guard<std::mutex> lock(tail_mu);
+        horizon = next_cts - 1;
+      }
+      table.Vacuum(horizon);
+      std::this_thread::yield();
+    }
+  });
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&, r] {
+      Rng rng(200 + r);
+      while (writers_done.load() < kWriters) {
+        Row row;
+        Ts snapshot;
+        {
+          std::lock_guard<std::mutex> lock(tail_mu);
+          snapshot = next_cts - 1;
+        }
+        if (rng.Bernoulli(0.3)) {
+          snapshot = static_cast<Ts>(
+              rng.Uniform(1, static_cast<int64_t>(snapshot)));
+        }
+        ASSERT_TRUE(table.Read(rid, snapshot, &row, nullptr));
+        EXPECT_EQ(row[0].AsInt(), 0);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  std::sort(committed.begin(), committed.end());
+  double serial = 0.5;
+  for (const auto& [cts, inc] : committed) serial += inc;
+  // Vacuum unlinks every withdrawn delta and nothing committed; the
+  // memos that survive keep the walk's hop count exact.
+  table.Vacuum(next_cts);
+  EXPECT_EQ(table.NumVersions(), committed.size() + 1);
+  Row latest;
+  WorkMeter meter;
+  ASSERT_TRUE(table.ReadLatest(rid, &latest, &meter));
+  EXPECT_EQ(Bits(latest[1].AsDouble()), Bits(serial));
+  EXPECT_EQ(meter.version_hops, committed.size() + 1);
 }
 
 }  // namespace
