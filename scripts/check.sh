@@ -13,7 +13,7 @@
 #   analyze  Clang -Wthread-safety -Werror build (HATTRICK_ANALYZE=ON);
 #            skipped with a notice when clang++ is not installed
 #   analyze-ast  hattrick-analyzer semantic passes (tools/analyzer):
-#            whole-program lock-order cycle detection, pin/epoch
+#            whole-program lock-order cycle detection, pin/latch
 #            protocol, determinism-by-type, exhaustive protocol
 #            switches. Needs only the compile database (configure, no
 #            build); pure python, so it never skips

@@ -543,39 +543,24 @@ TxnOutcome ShardedEngine::ExecuteTransaction(const TxnBody& body,
     return shards_[0].engine->ExecuteTransaction(body, client_id, txn_num,
                                                  meter);
   }
+  // Retries charge shard 0's manager; the backoff gauge sums every
+  // shard's (see OnObservabilityChanged).
   TxnOutcome outcome;
-  Status last = Status::Internal("not run");
-  for (int attempt = 0; attempt <= kMaxTxnRetries; ++attempt) {
-    if (attempt > 0) {
-      outcome.backoff_s +=
-          TxnManager::RetryBackoffSeconds(client_id, txn_num, attempt - 1);
-    }
-    outcome.attempts = attempt + 1;
-    ShardedTxnContext ctx(this, config_.node.isolation, client_id, txn_num);
-    const Status body_status = body(&ctx, meter);
-    if (!body_status.ok()) {
-      ctx.AbortAll();
-      if (body_status.code() == StatusCode::kAborted) {
-        last = body_status;
-        continue;
-      }
-      outcome.status = body_status;
-      return outcome;
-    }
-    const Status commit_status =
-        CommitRouted(&ctx, client_id, txn_num, meter, &outcome);
-    if (commit_status.ok()) {
-      outcome.status = Status::OK();
-      return outcome;
-    }
-    if (commit_status.code() != StatusCode::kAborted) {
-      // Injected coordinator crash (or hard error): not retryable.
-      outcome.status = commit_status;
-      return outcome;
-    }
-    last = commit_status;
-  }
-  outcome.status = last;
+  outcome.status = txn_manager()->RetryAborted(
+      client_id, txn_num, kMaxTxnRetries,
+      [&] {
+        ShardedTxnContext ctx(this, config_.node.isolation, client_id,
+                              txn_num);
+        const Status body_status = body(&ctx, meter);
+        if (!body_status.ok()) {
+          ctx.AbortAll();
+          return body_status;
+        }
+        // An injected coordinator crash (or hard error) is not kAborted,
+        // so it ends the retries.
+        return CommitRouted(&ctx, client_id, txn_num, meter, &outcome);
+      },
+      &outcome.attempts, &outcome.backoff_s);
   return outcome;
 }
 
@@ -886,6 +871,15 @@ void ShardedEngine::OnObservabilityChanged() {
   aborts_2pc_metric_ = obs_.metrics->GetCounter(obs::kShard2pcAborts);
   recoveries_metric_ =
       obs_.metrics->GetCounter(obs::kShard2pcCoordinatorRecoveries);
+  // Each shard's SetMetrics just pointed the backoff gauge at its own
+  // manager; the engine's total is the sum over every shard's.
+  obs_.metrics->GetGauge(obs::kTxnRetryBackoffSeconds)->SetProbe([this] {
+    double total = 0;
+    for (const Shard& shard : shards_) {
+      total += shard.engine->txn_manager()->backoff_seconds();
+    }
+    return total;
+  });
   for (uint32_t i = 0; i < config_.shards; ++i) {
     Shard* shard = &shards_[i];
     obs_.metrics

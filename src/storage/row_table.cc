@@ -89,7 +89,6 @@ Status RowTable::AddVersion(Rid rid, const Row& row, Ts commit_ts,
                             WorkMeter* meter) {
   SharedReaderLock lock(&latch_);
   if (rid >= slots_.size()) return Status::NotFound("rid out of range");
-  mvcc::EpochManager::Guard guard;
   mvcc::PushHead(&slots_[rid], NewCommittedFull(row, commit_ts, false));
   if (meter != nullptr) ++meter->rows_written;
   return Status::OK();
@@ -100,7 +99,6 @@ Status RowTable::AddDeltaVersion(Rid rid, uint32_t column,
                                  WorkMeter* meter) {
   SharedReaderLock lock(&latch_);
   if (rid >= slots_.size()) return Status::NotFound("rid out of range");
-  mvcc::EpochManager::Guard guard;
   mvcc::PushHead(&slots_[rid], NewCommittedDelta(column, increment,
                                                  commit_ts));
   if (meter != nullptr) ++meter->rows_written;
@@ -110,7 +108,6 @@ Status RowTable::AddDeltaVersion(Rid rid, uint32_t column,
 Status RowTable::MarkDeleted(Rid rid, Ts commit_ts, WorkMeter* meter) {
   SharedReaderLock lock(&latch_);
   if (rid >= slots_.size()) return Status::NotFound("rid out of range");
-  mvcc::EpochManager::Guard guard;
   mvcc::PushHead(&slots_[rid], NewCommittedFull(Row{}, commit_ts, true));
   if (meter != nullptr) ++meter->rows_written;
   return Status::OK();
@@ -121,7 +118,6 @@ mvcc::VersionNode* RowTable::TryInstallFull(Rid rid, const Row& row,
                                             WorkMeter* meter) {
   SharedReaderLock lock(&latch_);
   if (rid >= slots_.size()) return nullptr;
-  mvcc::EpochManager::Guard guard;
   VersionChain& chain = slots_[rid];
   auto* node = new VersionNode();
   node->owner = owner;
@@ -171,7 +167,6 @@ mvcc::VersionNode* RowTable::TryInstallDelta(Rid rid, uint32_t column,
                                              WorkMeter* meter) {
   SharedReaderLock lock(&latch_);
   if (rid >= slots_.size()) return nullptr;
-  mvcc::EpochManager::Guard guard;
   VersionChain& chain = slots_[rid];
   auto* node = new VersionNode();
   node->owner = owner;
@@ -213,7 +208,6 @@ bool RowTable::ValidateRead(Rid rid, Ts observed_full_cts,
                             const void* owner) const {
   SharedReaderLock lock(&latch_);
   if (rid >= slots_.size()) return false;
-  mvcc::EpochManager::Guard guard;
   for (const VersionNode* node =
            slots_[rid].head.load(std::memory_order_acquire);
        node != nullptr; node = node->prev.load(std::memory_order_acquire)) {
@@ -241,7 +235,6 @@ bool RowTable::FoldAt(Rid rid, Ts snapshot, Row* out,
                       mvcc::FoldObservation* obs, WorkMeter* meter) const {
   SharedReaderLock lock(&latch_);
   if (rid >= slots_.size()) return false;
-  mvcc::EpochManager::Guard guard;
   return mvcc::FoldVisible(slots_[rid].head.load(std::memory_order_acquire),
                            snapshot, out, obs, meter);
 }
@@ -269,7 +262,6 @@ bool RowTable::ReadLatestObserved(Rid rid, Row* out,
 Ts RowTable::LatestVersionTs(Rid rid) const {
   SharedReaderLock lock(&latch_);
   if (rid >= slots_.size()) return 0;
-  mvcc::EpochManager::Guard guard;
   return mvcc::NewestCommittedFullCts(
       slots_[rid].head.load(std::memory_order_acquire));
 }
@@ -284,7 +276,6 @@ void RowTable::ScanRange(Ts snapshot, Rid begin, Rid end,
                          const std::function<bool(Rid, const Row&)>& visitor,
                          WorkMeter* meter) const {
   SharedReaderLock lock(&latch_);
-  mvcc::EpochManager::Guard guard;
   end = std::min<Rid>(end, slots_.size());
   Row folded;  // written only for rows with deltas to fold
   for (Rid rid = begin; rid < end; ++rid) {
@@ -297,7 +288,7 @@ void RowTable::ScanRange(Ts snapshot, Rid begin, Rid end,
       meter->version_hops += chain.length.load(std::memory_order_relaxed);
     }
     // Zero-copy: a delta-free visible version reaches the visitor as a
-    // reference into its node, kept alive by `guard` until the visit ends.
+    // reference into its node, kept alive by `lock` until the visit ends.
     const Row* row =
         mvcc::ResolveVisible(head, snapshot, &folded, nullptr, nullptr);
     if (row != nullptr) {
@@ -322,47 +313,47 @@ size_t RowTable::NumVersions() const {
 }
 
 size_t RowTable::Vacuum(Ts horizon) {
-  MutexLock vacuum_lock(&vacuum_mu_);
+  // Safety. Vacuum is an ordinary exclusive section: every chain reader
+  // and installer holds latch_ shared, so none can be between a chain
+  // load and its last use of a node here, and unlinked nodes (with their
+  // fold memos) are deleted at once with plain stores. Publish and
+  // Withdraw run outside the latch, but they only touch pending nodes,
+  // which Vacuum never frees, and an aborter never touches a node after
+  // Withdraw; a node read here as pending is kept, whatever its status
+  // becomes during the pass. The unlink rule (aborted nodes, and
+  // committed nodes below the newest committed full version at or under
+  // the horizon) is the one FoldMemo's `hops` argument relies on (see
+  // txn/mvcc.h).
+  SharedMutexLock lock(&latch_);
   size_t unlinked = 0;
-  {
-    SharedReaderLock lock(&latch_);
-    mvcc::EpochManager::Guard guard;
-    for (VersionChain& chain : slots_) {
-      // `link` always points through a retained node (or the head), so a
-      // successful CAS cannot resurrect anything: only this pass (the
-      // vacuum_mu_ holder) unlinks, and installs only touch the head.
-      std::atomic<VersionNode*>* link = &chain.head;
-      bool superseded = false;
-      VersionNode* node = link->load(std::memory_order_acquire);
-      while (node != nullptr) {
-        const VersionStatus st = mvcc::StatusOf(node);
-        const bool committed = mvcc::IsCommitted(st);
-        const bool drop =
-            st == VersionStatus::kAborted || (superseded && committed);
-        if (drop) {
-          if (mvcc::Unlink(&chain, link, node)) {
-            mvcc::EpochManager::Instance().Retire(node);
-            ++unlinked;
-          }
-          // On CAS failure a concurrent install changed the head;
-          // re-read the link and rescan from there.
-          node = link->load(std::memory_order_acquire);
-          continue;
-        }
+  for (VersionChain& chain : slots_) {
+    std::atomic<VersionNode*>* link = &chain.head;
+    bool superseded = false;
+    size_t dropped = 0;
+    VersionNode* node = link->load(std::memory_order_acquire);
+    while (node != nullptr) {
+      const VersionStatus st = mvcc::StatusOf(node);
+      VersionNode* older = node->prev.load(std::memory_order_relaxed);
+      if (st == VersionStatus::kAborted ||
+          (superseded && mvcc::IsCommitted(st))) {
+        link->store(older, std::memory_order_relaxed);
+        delete node;
+        ++dropped;
+      } else {
         if (st == VersionStatus::kCommitted &&
             node->cts.load(std::memory_order_relaxed) <= horizon) {
           // Newest committed full version at or below the horizon: every
-          // snapshot >= horizon resolves here or above, so everything
-          // below is unreachable.
+          // snapshot >= horizon resolves here or above, so every
+          // committed node below is unreachable.
           superseded = true;
         }
         link = &node->prev;
-        node = link->load(std::memory_order_acquire);
       }
+      node = older;
     }
+    chain.length.fetch_sub(dropped, std::memory_order_relaxed);
+    unlinked += dropped;
   }
-  mvcc::EpochManager::Instance().BumpEpoch();
-  mvcc::EpochManager::Instance().ReclaimExpired();
   return unlinked;
 }
 
@@ -384,21 +375,18 @@ void RowTable::CopyFrom(const RowTable& other) {
     other.latch_.LockShared();
     latch_.Lock();
   }
-  {
-    // The exclusive latch excludes every reader of this table, so the
-    // old chains free directly; `other`'s chains may see concurrent
-    // installs/vacuum (shared side), so clone under an epoch guard.
-    mvcc::EpochManager::Guard guard;
-    for (VersionChain& chain : slots_) {
-      mvcc::FreeChain(chain.head.load(std::memory_order_acquire));
-      chain.head.store(nullptr, std::memory_order_relaxed);
-    }
-    slots_.clear();
-    for (const VersionChain& src : other.slots_) {
-      slots_.emplace_back();
-      CloneCommitted(src.head.load(std::memory_order_acquire),
-                     &slots_.back());
-    }
+  // The exclusive latch excludes every reader of this table, so the old
+  // chains free directly; `other`'s shared latch keeps Vacuum from
+  // freeing the nodes being cloned (concurrent installs only add heads).
+  for (VersionChain& chain : slots_) {
+    mvcc::FreeChain(chain.head.load(std::memory_order_acquire));
+    chain.head.store(nullptr, std::memory_order_relaxed);
+  }
+  slots_.clear();
+  for (const VersionChain& src : other.slots_) {
+    slots_.emplace_back();
+    CloneCommitted(src.head.load(std::memory_order_acquire),
+                   &slots_.back());
   }
   other.latch_.UnlockShared();
   latch_.Unlock();

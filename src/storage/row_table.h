@@ -27,11 +27,12 @@ namespace hattrick {
 /// them; readers skip pending and aborted nodes, so they never observe
 /// uncommitted data and never block.
 ///
-/// `latch_` protects only the slot directory (the deque), not row
-/// contents: reads, installs, and Vacuum all run under the shared side.
-/// Vacuum unlinks aborted and superseded nodes with CAS and retires them
-/// through the epoch manager, so garbage collection never blocks readers
-/// either. Vacuum never folds deltas, and no benchmark driver calls it,
+/// `latch_` guards the slot directory (the deque) and node lifetime:
+/// reads and installs run under the shared side, so they never block one
+/// another, and a version node is freed only under the exclusive side
+/// (Vacuum, CopyFrom, the destructor). A node or payload pointer read
+/// from a chain is therefore valid while the latch is held. Vacuum never
+/// folds deltas, and no benchmark driver calls it,
 /// so a hot row's chain (Payment's S_YTD and C_PAYMENTCNT increments)
 /// grows for a whole run. Reads stay cheap anyway: a read that folds
 /// mvcc::kMemoMinDeltas or more deltas leaves an mvcc::FoldMemo on the
@@ -120,10 +121,12 @@ class RowTable {
   Ts LatestVersionTs(Rid rid) const;
 
   /// Visits every row visible at `snapshot` in rid order; return false
-  /// from the visitor to stop. The row is passed without a copy when its
-  /// visible version carries no deltas: the reference points into the
-  /// version node and is valid only until the visitor returns (copy what
-  /// must outlive the visit).
+  /// from the visitor to stop. The latch is held shared for the whole
+  /// visit, so the visitor must not call Vacuum, Insert or CopyFrom on
+  /// this table. The row is passed without a copy when its visible
+  /// version carries no deltas: the reference points into the version
+  /// node and is valid only until the visitor returns (copy what must
+  /// outlive the visit).
   void Scan(Ts snapshot,
             const std::function<bool(Rid, const Row&)>& visitor,
             WorkMeter* meter) const;
@@ -148,10 +151,11 @@ class RowTable {
   /// Unlinks versions no snapshot at or after `horizon` can reach:
   /// aborted nodes, and committed nodes superseded by a newer committed
   /// full version with cts <= horizon. Deltas above the newest such full
-  /// version stay linked (Vacuum does not fold them). Runs against the
-  /// shared latch (readers are never blocked); unlinked nodes, and the
-  /// fold memos they carry, are retired through the epoch manager.
-  /// Returns the number unlinked.
+  /// version stay linked (Vacuum does not fold them). Runs under the
+  /// exclusive latch, so it waits for in-flight reads, installs and scans
+  /// and blocks new ones; unlinked nodes, and the fold memos they carry,
+  /// are freed at once. Callers quiesce snapshots older than `horizon`
+  /// first. Returns the number unlinked.
   size_t Vacuum(Ts horizon);
 
   /// Replaces contents with a deep copy of `other`'s committed versions
@@ -164,9 +168,6 @@ class RowTable {
               WorkMeter* meter) const;
 
   mutable SharedMutex latch_;
-  /// Serializes Vacuum passes (concurrent unlinks of adjacent nodes
-  /// could resurrect an unlinked node). Acquired before latch_.
-  Mutex vacuum_mu_ ACQUIRED_BEFORE(latch_);
   const Schema schema_;  // immutable after construction; never latched
   std::deque<mvcc::VersionChain> slots_ GUARDED_BY(latch_);
 };

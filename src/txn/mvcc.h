@@ -4,13 +4,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <limits>
-#include <utility>
 #include <vector>
 
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
 #include "common/value.h"
 #include "common/work_meter.h"
 
@@ -37,6 +33,10 @@ inline constexpr Ts kMaxTs = std::numeric_limits<Ts>::max();
 /// increment that readers fold over the newest visible full version, so
 /// two Payments bumping the same supplier's S_YTD both commit without a
 /// write-write conflict.
+///
+/// Reclamation is not lock-free: every chain walk runs under the owning
+/// RowTable's shared latch, and nodes are freed only under its exclusive
+/// latch (Vacuum, CopyFrom, the destructor). See RowTable::Vacuum.
 ///
 /// All raw compare_exchange loops in the repository live in this header
 /// (enforced by the `raw-cas` lint rule); everything else manipulates
@@ -79,8 +79,9 @@ inline constexpr size_t kMemoMinDeltas = 8;
 /// F is the row's newest committed one.
 ///
 /// Lifetime. A memo is set once by CAS (AttachMemo) and never changed;
-/// ~VersionNode frees it, so FreeChain and epoch reclamation free memos
-/// with no reclamation path of their own. CloneCommitted (CopyFrom) does
+/// ~VersionNode frees it, so whatever frees its node (FreeChain, Vacuum)
+/// frees the memo with it, and a memo is valid exactly as long as its
+/// node: while the table latch is held. CloneCommitted (CopyFrom) does
 /// not copy memos.
 ///
 /// `hops` stays exact: Vacuum unlinks aborted nodes, which a suffix has
@@ -113,7 +114,7 @@ struct VersionNode {
   /// Commit timestamp; written before the status flips to committed.
   std::atomic<Ts> cts{0};
   /// Next-older node (nullptr at the chain tail). Written by the
-  /// installing CAS and by Vacuum unlinks.
+  /// installing CAS and by Vacuum unlinks (under the exclusive latch).
   std::atomic<VersionNode*> prev{nullptr};
   /// Fold memo of the clean suffix topped by this (committed delta)
   /// node; null until a reader attaches one. Mutable: readers attach it
@@ -171,7 +172,8 @@ inline void ApplyDeltaValue(Value* cell, const Value& increment) {
 /// One row's chain: an atomic head pointer, newest node first, and its
 /// physical length (all nodes: pending, aborted, committed) — the
 /// dead-tuple bloat a heap scan pays for until Vacuum runs. Every link
-/// and unlink below updates `length`, so a scan meters it in O(1).
+/// below and every Vacuum unlink updates `length`, so a scan meters it
+/// in O(1).
 struct VersionChain {
   std::atomic<VersionNode*> head{nullptr};
   std::atomic<size_t> length{0};
@@ -204,23 +206,8 @@ inline bool TryPushHead(VersionChain* chain, VersionNode* node,
   return true;
 }
 
-/// Unlinks `node` of `chain` from `*link` (the head pointer or a
-/// retained predecessor's `prev`). Fails if a concurrent install changed
-/// the link.
-inline bool Unlink(VersionChain* chain, std::atomic<VersionNode*>* link,
-                   VersionNode* node) {
-  VersionNode* expected = node;
-  if (!link->compare_exchange_strong(
-          expected, node->prev.load(std::memory_order_acquire),
-          std::memory_order_acq_rel, std::memory_order_acquire)) {
-    return false;
-  }
-  chain->length.fetch_sub(1, std::memory_order_relaxed);
-  return true;
-}
-
 /// Frees a whole chain. Only safe when no concurrent reader can hold the
-/// nodes (table destructor, reset under the exclusive structure latch).
+/// nodes (table destructor, reset under the exclusive table latch).
 inline void FreeChain(VersionNode* head) {
   VersionNode* node = head;
   while (node != nullptr) {
@@ -340,10 +327,9 @@ inline Ts ApplyDeltas(Row* row, const VersionNode* const* begin,
 /// place; otherwise folds into `*scratch` and returns `scratch`. Returns
 /// nullptr if no version is visible (row created later, or tombstoned as
 /// of the snapshot). A returned payload is immutable (published nodes
-/// and memos never change) but lives only as long as its node: the
-/// caller must hold an EpochManager::Guard from the chain load until its
-/// last use, since Vacuum may unlink and retire the node at any time
-/// after.
+/// and memos never change) but lives only as long as its node: it is
+/// valid while the table latch the chain load was made under is held,
+/// since Vacuum frees unlinked nodes under the exclusive latch.
 ///
 /// Meters one version_hop per node a full walk would visit, matching the
 /// newest-to-oldest walk of the previous vector-based chains.
@@ -463,134 +449,6 @@ inline Ts NewestCommittedFullCts(const VersionNode* head) {
   }
   return 0;
 }
-
-/// Epoch-based reclamation for version nodes unlinked by Vacuum while
-/// lock-free readers may still hold pointers into the chain. Readers
-/// wrap chain walks in a Guard (per-thread cache-line-aligned epoch
-/// slots, RAII-acquired on first use and released at thread exit);
-/// Vacuum retires unlinked nodes into a limbo list and frees an entry
-/// only once every active reader entered after it was retired.
-class EpochManager {
- public:
-  static EpochManager& Instance() {
-    static EpochManager manager;
-    return manager;
-  }
-
-  /// Read-side critical section. Re-entrant (nested guards on one thread
-  /// keep the outermost epoch).
-  class Guard {
-   public:
-    Guard() : slot_(LocalSlot()) {
-      if (slot_->depth++ == 0) {
-        // seq_cst pairs with the reclaimer's slot scan: if the scan did
-        // not see this store, every later chain load on this thread is
-        // ordered after the scan — and thus after the unlink it follows.
-        slot_->epoch.store(
-            Instance().global_epoch_.load(std::memory_order_seq_cst),
-            std::memory_order_seq_cst);
-      }
-    }
-    ~Guard() {
-      if (--slot_->depth == 0) {
-        slot_->epoch.store(kIdle, std::memory_order_release);
-      }
-    }
-    Guard(const Guard&) = delete;
-    Guard& operator=(const Guard&) = delete;
-
-   private:
-    friend class EpochManager;
-    struct alignas(64) Slot {
-      std::atomic<uint64_t> epoch{kIdle};
-      std::atomic<bool> owned{false};
-      uint32_t depth = 0;  // only touched by the owning thread
-    };
-    static Slot* LocalSlot() {
-      thread_local SlotLease lease;
-      return lease.slot;
-    }
-    Slot* slot_;
-  };
-
-  /// Queues an unlinked node for deferred free.
-  void Retire(VersionNode* node) {
-    const uint64_t epoch = global_epoch_.load(std::memory_order_seq_cst);
-    MutexLock lock(&limbo_mu_);
-    limbo_.push_back({epoch, node});
-  }
-
-  /// Advances the global epoch (one bump per Vacuum pass).
-  void BumpEpoch() {
-    global_epoch_.fetch_add(1, std::memory_order_seq_cst);
-  }
-
-  /// Frees every limbo node retired before the oldest active reader
-  /// epoch; returns the number freed.
-  size_t ReclaimExpired() {
-    uint64_t min_active = kIdle;
-    for (const Guard::Slot& slot : slots_) {
-      const uint64_t e = slot.epoch.load(std::memory_order_seq_cst);
-      if (e < min_active) min_active = e;
-    }
-    std::vector<VersionNode*> free_now;
-    {
-      MutexLock lock(&limbo_mu_);
-      size_t kept = 0;
-      for (auto& entry : limbo_) {
-        if (entry.first < min_active) {
-          free_now.push_back(entry.second);
-        } else {
-          limbo_[kept++] = entry;
-        }
-      }
-      limbo_.resize(kept);
-    }
-    for (VersionNode* node : free_now) delete node;
-    return free_now.size();
-  }
-
- private:
-  static constexpr uint64_t kIdle = std::numeric_limits<uint64_t>::max();
-  static constexpr size_t kMaxSlots = 1024;
-
-  /// Thread-lifetime lease on one epoch slot (slots recycle across the
-  /// drivers' short-lived client threads).
-  struct SlotLease {
-    Guard::Slot* slot = nullptr;
-    SlotLease() {
-      EpochManager& mgr = Instance();
-      for (size_t i = 0; i < kMaxSlots; ++i) {
-        bool expected = false;
-        if (mgr.slots_[i].owned.compare_exchange_strong(
-                expected, true, std::memory_order_acq_rel)) {
-          slot = &mgr.slots_[i];
-          return;
-        }
-      }
-      std::abort();  // > kMaxSlots concurrent threads; raise the cap
-    }
-    ~SlotLease() {
-      slot->epoch.store(kIdle, std::memory_order_release);
-      slot->owned.store(false, std::memory_order_release);
-    }
-  };
-
-  EpochManager() = default;
-  ~EpochManager() {
-    // Process teardown: no readers remain; drain the limbo list so leak
-    // checkers see every node freed.
-    MutexLock lock(&limbo_mu_);
-    for (auto& entry : limbo_) delete entry.second;
-    limbo_.clear();
-  }
-
-  Guard::Slot slots_[kMaxSlots];
-  std::atomic<uint64_t> global_epoch_{1};
-  Mutex limbo_mu_;
-  std::vector<std::pair<uint64_t, VersionNode*>> limbo_
-      GUARDED_BY(limbo_mu_);
-};
 
 }  // namespace mvcc
 }  // namespace hattrick

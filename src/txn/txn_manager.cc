@@ -36,18 +36,7 @@ const char* IsolationLevelName(IsolationLevel level) {
 
 TxnManager::TxnManager(Catalog* catalog, TimestampOracle* oracle,
                        WalSink* sink)
-    : catalog_(catalog),
-      oracle_(oracle),
-      sink_(sink) {
-  // Real sleep by default: any caller driving the manager from real
-  // threads gets livelock-free retries out of the box. Virtual-time
-  // drivers replace this with a no-op and schedule the reported backoff
-  // in simulated time instead (single-threaded sim bodies never abort,
-  // so the default is never reached there anyway).
-  retry_sleeper_ = [](double seconds) {
-    std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-  };
-}
+    : catalog_(catalog), oracle_(oracle), sink_(sink) {}
 
 Transaction TxnManager::Begin(IsolationLevel isolation, uint32_t client_id,
                               uint64_t txn_num) const {
@@ -477,10 +466,7 @@ void TxnManager::SetMetrics(obs::MetricsRegistry* registry) {
   wal_bytes_metric_ = registry->GetCounter(obs::kTxnWalBytes);
   delta_installs_metric_ = registry->GetCounter(obs::kTxnDeltaInstalls);
   backoff_gauge_ = registry->GetGauge(obs::kTxnRetryBackoffSeconds);
-  backoff_gauge_->SetProbe([this] {
-    return static_cast<double>(backoff_nanos_.load(std::memory_order_relaxed)) *
-           1e-9;
-  });
+  backoff_gauge_->SetProbe([this] { return backoff_seconds(); });
 }
 
 void TxnManager::Abort(Transaction* txn) const {
@@ -504,46 +490,52 @@ double TxnManager::RetryBackoffSeconds(uint32_t client_id, uint64_t txn_num,
   return window * jitter;
 }
 
+Status TxnManager::RetryAborted(uint32_t client_id, uint64_t txn_num,
+                                int max_retries,
+                                const std::function<Status()>& attempt,
+                                int* attempts, double* backoff_seconds) {
+  Status last = Status::Internal("not run");
+  double backoff_total = 0;
+  for (int i = 0; i <= max_retries; ++i) {
+    if (i > 0) {
+      // Capped exponential backoff between attempts: hot-row conflicts
+      // on real threads would otherwise livelock in a tight retry loop.
+      // The sleep is real whatever drives the engine; the simulator also
+      // charges the reported total as virtual time.
+      const double delay = RetryBackoffSeconds(client_id, txn_num, i - 1);
+      backoff_total += delay;
+      backoff_nanos_.fetch_add(static_cast<uint64_t>(delay * 1e9),
+                               std::memory_order_relaxed);
+      std::this_thread::sleep_for(std::chrono::duration<double>(delay));
+    }
+    if (attempts != nullptr) *attempts = i + 1;
+    last = attempt();
+    if (last.code() != StatusCode::kAborted) break;
+  }
+  if (backoff_seconds != nullptr) *backoff_seconds = backoff_total;
+  return last;
+}
+
 StatusOr<CommitResult> TxnManager::RunWithRetries(
     IsolationLevel isolation, uint32_t client_id, uint64_t txn_num,
     const std::function<Status(Transaction*)>& body, WorkMeter* meter,
     int max_retries, int* attempts, double* backoff_seconds) {
-  Status last = Status::Internal("not run");
-  double backoff_total = 0;
-  if (backoff_seconds != nullptr) *backoff_seconds = 0;
-  for (int attempt = 0; attempt <= max_retries; ++attempt) {
-    if (attempt > 0) {
-      // Capped exponential backoff between attempts: hot-row conflicts
-      // under the threaded driver would otherwise livelock in a tight
-      // retry loop. Virtual-time drivers schedule the reported backoff;
-      // the threaded driver installs a real sleeper.
-      const double delay =
-          RetryBackoffSeconds(client_id, txn_num, attempt - 1);
-      backoff_total += delay;
-      backoff_nanos_.fetch_add(static_cast<uint64_t>(delay * 1e9),
-                               std::memory_order_relaxed);
-      if (retry_sleeper_) retry_sleeper_(delay);
-    }
-    if (attempts != nullptr) *attempts = attempt + 1;
-    Transaction txn = Begin(isolation, client_id, txn_num);
-    const Status body_status = body(&txn);
-    if (!body_status.ok()) {
-      Abort(&txn);
-      if (body_status.code() == StatusCode::kAborted) {
-        last = body_status;
-        continue;
-      }
-      if (backoff_seconds != nullptr) *backoff_seconds = backoff_total;
-      return body_status;
-    }
-    StatusOr<CommitResult> commit = Commit(&txn, meter);
-    if (backoff_seconds != nullptr) *backoff_seconds = backoff_total;
-    if (commit.ok()) return commit;
-    if (commit.status().code() != StatusCode::kAborted) return commit;
-    last = commit.status();
-  }
-  if (backoff_seconds != nullptr) *backoff_seconds = backoff_total;
-  return last;
+  StatusOr<CommitResult> commit = Status::Internal("not run");
+  const Status status = RetryAborted(
+      client_id, txn_num, max_retries,
+      [&] {
+        Transaction txn = Begin(isolation, client_id, txn_num);
+        const Status body_status = body(&txn);
+        if (!body_status.ok()) {
+          Abort(&txn);
+          return body_status;
+        }
+        commit = Commit(&txn, meter);
+        return commit.status();
+      },
+      attempts, backoff_seconds);
+  if (!status.ok()) return status;
+  return commit;
 }
 
 }  // namespace hattrick

@@ -216,22 +216,24 @@ class TxnManager {
   /// Discards the transaction (no-op on storage).
   void Abort(Transaction* txn) const;
 
-  /// Injected sleep for retry backoff: the threaded driver installs a
-  /// real sleep; the simulated driver leaves it null and schedules the
-  /// reported backoff in virtual time. Must be set while quiesced.
-  using RetrySleeper = std::function<void(double seconds)>;
-  void SetRetrySleeper(RetrySleeper sleeper) {
-    retry_sleeper_ = std::move(sleeper);
-  }
-
   /// Deterministic capped exponential backoff before retry `attempt`
   /// (0-based): seeded by (client_id, txn_num, attempt) so same-seed runs
   /// replay identically and concurrent retriers jitter apart.
   static double RetryBackoffSeconds(uint32_t client_id, uint64_t txn_num,
                                     int attempt);
 
-  /// Executes `body` as a transaction, retrying on kAborted up to
-  /// `max_retries` times with deterministic exponential backoff; counts
+  /// The retry loop every engine runs a transaction through: calls
+  /// `attempt` until it returns anything but kAborted, at most
+  /// `max_retries` + 1 times. Before retry i (1-based) it sleeps
+  /// RetryBackoffSeconds(client_id, txn_num, i - 1) of real time and adds
+  /// it to this manager's backoff total (txn.retry.backoff_seconds).
+  /// Reports the attempts made and the summed backoff; returns the last
+  /// attempt's status.
+  Status RetryAborted(uint32_t client_id, uint64_t txn_num, int max_retries,
+                      const std::function<Status()>& attempt, int* attempts,
+                      double* backoff_seconds);
+
+  /// Executes `body` as a transaction through RetryAborted; counts
   /// attempts and accumulated backoff. Convenience used by workload
   /// drivers, which retry aborted transactions (only successes count
   /// toward throughput, matching the paper's "successful transactions per
@@ -259,6 +261,12 @@ class TxnManager {
   /// once here so Commit() only does counter increments. Pass nullptr to
   /// detach.
   void SetMetrics(obs::MetricsRegistry* registry);
+
+  /// Retry backoff charged through RetryAborted so far, in seconds.
+  double backoff_seconds() const {
+    return static_cast<double>(backoff_nanos_.load(std::memory_order_relaxed)) *
+           1e-9;
+  }
 
  private:
   /// A slot in the commit order: tail work (publish, inserts, WAL,
@@ -291,9 +299,8 @@ class TxnManager {
   CondVar seq_cv_;
   uint64_t seq_issued_ GUARDED_BY(seq_mu_) = 0;
   uint64_t seq_draining_ GUARDED_BY(seq_mu_) = 0;
-  /// Total virtual/real seconds spent in retry backoff (gauge probe).
+  /// Total seconds of retry backoff, in nanoseconds (gauge probe).
   std::atomic<uint64_t> backoff_nanos_{0};
-  RetrySleeper retry_sleeper_;
   obs::Counter* commits_metric_ = nullptr;
   obs::Counter* write_conflicts_metric_ = nullptr;
   obs::Counter* read_conflicts_metric_ = nullptr;

@@ -1,4 +1,4 @@
-// Fixture: version-chain reads with no dominating pin or epoch guard in
+// Fixture: version-chain reads with no dominating pin or latch hold in
 // the same function (unpinned-snapshot, positive). A concurrent fold or
 // vacuum could reclaim the versions mid-read.
 #include "storage/column_table.h"

@@ -66,8 +66,18 @@ class UnpinnedSnapshotPassTest(unittest.TestCase):
         self.assertEqual([f.line for f in findings], [12])
         self.assertIn("Scanner::ScanWithoutPin", findings[0].message)
 
-    def test_guarded_and_pinned_reads_are_silent(self):
+    def test_latched_and_pinned_reads_are_silent(self):
         self.assertEqual(analyze(["src/engine/pinned_ok.cc"]), [])
+
+    def test_only_the_row_latch_covers_only_row_chains(self):
+        # A head.load under another mutex, and a column snapshot under
+        # the row latch, both still fire.
+        findings = analyze(["src/engine/latch_bad.cc"])
+        self.assertEqual({f.rule for f in findings}, {"unpinned-snapshot"})
+        self.assertEqual([f.line for f in findings], [15, 20])
+        self.assertIn("RowTable::ReadUnderOtherMutex", findings[0].message)
+        self.assertIn("RowTable::ColumnReadUnderRowLatch",
+                      findings[1].message)
 
     def test_pin_region_is_path_scoped(self):
         # The identical file outside src/engine|shard|storage is silent.

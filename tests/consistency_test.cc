@@ -2,11 +2,13 @@
 // HATtrick workload, every engine's analytical view must agree with its
 // transactional row store — the hybrid's column copy, the isolated
 // engine's drained standby, and vacuumed stores must all answer queries
-// identically. Also covers engine-level Vacuum() and a randomized
-// concurrency stress: T-client threads mutate while dop=4 analytics run,
-// and every analytical snapshot must be transactionally consistent (no
-// torn FRESHNESS reads, exact S_YTD/HISTORY balance).
+// identically. Also covers engine-level Vacuum(), quiesced and under
+// load, and a randomized concurrency stress: T-client threads mutate
+// while dop=4 analytics run, and every analytical snapshot must be
+// transactionally consistent (no torn FRESHNESS reads, exact
+// S_YTD/HISTORY balance).
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -391,6 +393,142 @@ TEST_P(ConsistencyTest, SharedSnapshotsConsistentUnderConcurrentWriters) {
   ASSERT_TRUE(
       LoadDataset(dataset, PhysicalSchema::kAllIndexes, &engine).ok());
   StressParallelSnapshots(&engine, dataset, GetParam() * 11);
+}
+
+// ---------------------------------------------------------------------------
+// Vacuum under load: engine-level Vacuum() reclaims the primary's and the
+// standby's chains under each table's exclusive latch while T-clients
+// commit, the applier replays and an A-client scans.
+// ---------------------------------------------------------------------------
+
+/// A committed transaction of the concurrent run, replayable on a twin.
+struct CommittedTxn {
+  Ts commit_ts = 0;
+  uint32_t client = 0;
+  uint64_t txn_num = 0;
+  TxnParams params;
+};
+
+TEST_P(ConsistencyTest, IsolatedVacuumUnderLoadMatchesUnvacuumedTwin) {
+  const Dataset dataset = GenerateDataset(SmallConfig(GetParam()));
+  IsolatedEngine engine;
+  ASSERT_TRUE(
+      LoadDataset(dataset, PhysicalSchema::kAllIndexes, &engine).ok());
+  WorkloadContext context(dataset);
+  const EngineHandles handles =
+      EngineHandles::Resolve(*engine.primary_catalog(), 4);
+
+  WorkMeter meter;
+  int64_t base_balance;
+  {
+    AnalyticsSession s0 = engine.BeginAnalytics(&meter);
+    base_balance = SumFixed(*s0.source, kSupplier, supp::kYtd) -
+                   SumFixed(*s0.source, kHistory, hist::kAmount);
+  }
+
+  constexpr int kClients = 3;
+  constexpr uint64_t kTxnsPerClient = 80;
+  std::atomic<int> running{kClients};
+  // T-clients start once the vacuum loop and the A-client run.
+  std::atomic<int> started{0};
+  std::atomic<int> failures{0};
+  std::array<std::vector<CommittedTxn>, kClients> history;
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      const uint32_t client = static_cast<uint32_t>(c) + 1;
+      Rng rng(GetParam() * 31 + static_cast<uint64_t>(c));
+      while (started.load() < 2) std::this_thread::yield();
+      for (uint64_t txn_num = 1; txn_num <= kTxnsPerClient; ++txn_num) {
+        const TxnParams params = GenerateTxnParams(&context, &rng);
+        WorkMeter m;
+        const TxnOutcome outcome = engine.ExecuteTransaction(
+            MakeTxnBody(params, handles, client, txn_num), client, txn_num,
+            &m);
+        if (!outcome.status.ok()) {
+          failures.fetch_add(1);
+          continue;
+        }
+        history[c].push_back({outcome.commit_ts, client, txn_num, params});
+      }
+      running.fetch_sub(1);
+    });
+  }
+  // The applier: replays the primary's WAL into the standby.
+  threads.emplace_back([&] {
+    WorkMeter m;
+    while (running.load() > 0) {
+      if (!engine.MaintenanceStep(&m)) std::this_thread::yield();
+    }
+  });
+  // Vacuum, over and over, on both the primary and the standby.
+  std::atomic<size_t> vacuumed{0};
+  threads.emplace_back([&] {
+    started.fetch_add(1);
+    do {
+      vacuumed.fetch_add(engine.Vacuum());
+      std::this_thread::yield();
+    } while (running.load() > 0);
+  });
+  // The A-client. It reads only rows that never get a second full
+  // version (SSB tables and HISTORY; Payments add deltas), so a Vacuum
+  // horizon past its snapshot leaves everything it reaches in place;
+  // the FRESHNESS rows, rewritten by every transaction, are what Vacuum
+  // reclaims.
+  int qid = 0;
+  started.fetch_add(1);
+  do {
+    AnalyticsSession session = engine.BeginAnalytics(&meter);
+    EXPECT_EQ(SumFixed(*session.source, kSupplier, supp::kYtd) -
+                  SumFixed(*session.source, kHistory, hist::kAmount),
+              base_balance)
+        << "torn snapshot under Vacuum";
+    ExecContext ctx{&meter};
+    RunQuery(qid, *session.source, 4, &ctx);
+    qid = (qid + 1) % kNumQueries;
+  } while (running.load() > 0);
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  // Quiesced: drain the standby, reclaim the rest, reconcile.
+  while (engine.MaintenanceStep(&meter)) {
+  }
+  vacuumed.fetch_add(engine.Vacuum());
+  EXPECT_GT(vacuumed.load(), 0u);
+  EXPECT_EQ(engine.Vacuum(), 0u);  // idempotent once clean
+  {
+    AnalyticsSession fin = engine.BeginAnalytics(&meter);
+    EXPECT_EQ(SumFixed(*fin.source, kSupplier, supp::kYtd) -
+                  SumFixed(*fin.source, kHistory, hist::kAmount),
+              base_balance);
+  }
+
+  // The twin replays the same committed transactions in commit order and
+  // never vacuums; every query must answer bit for bit the same.
+  std::vector<CommittedTxn> order;
+  for (const std::vector<CommittedTxn>& h : history) {
+    order.insert(order.end(), h.begin(), h.end());
+  }
+  std::sort(order.begin(), order.end(),
+            [](const CommittedTxn& a, const CommittedTxn& b) {
+              return a.commit_ts < b.commit_ts;
+            });
+  IsolatedEngine twin;
+  ASSERT_TRUE(LoadDataset(dataset, PhysicalSchema::kAllIndexes, &twin).ok());
+  const EngineHandles twin_handles =
+      EngineHandles::Resolve(*twin.primary_catalog(), 4);
+  for (const CommittedTxn& txn : order) {
+    WorkMeter m;
+    const TxnOutcome outcome = twin.ExecuteTransaction(
+        MakeTxnBody(txn.params, twin_handles, txn.client, txn.txn_num),
+        txn.client, txn.txn_num, &m);
+    ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+  }
+  const std::vector<double> vacuumed_answers = AllQueryChecksums(&engine);
+  const std::vector<double> twin_answers = AllQueryChecksums(&twin);
+  for (int q = 0; q < kNumQueries; ++q) {
+    EXPECT_EQ(vacuumed_answers[q], twin_answers[q]) << QueryName(q);
+  }
 }
 
 }  // namespace

@@ -362,14 +362,17 @@ TEST(RowTableScanTest, VisitorStopsEarly) {
 }
 
 // A scanner reads the version payloads it is handed in place while a
-// writer keeps installing versions and Vacuum unlinks and retires the
-// superseded ones. The epoch guard ScanRange holds across the visit must
+// writer keeps installing versions and Vacuum unlinks and frees the
+// superseded ones. The table latch ScanRange holds across the visit must
 // keep every referenced node alive (ThreadSanitizer and AddressSanitizer
 // flag a premature free); the row invariants catch torn or recycled
-// payloads in any build.
+// payloads in any build. The scanners' loops are bounded: the writer's
+// exclusive Vacuum can wait behind back-to-back scans (glibc's
+// shared_mutex prefers readers), and only the writer ends the loop.
 TEST(RowTableScanTest, PayloadReferencesSurviveConcurrentVacuum) {
   constexpr int kRows = 64;
   constexpr int kVersions = 4000;
+  constexpr int kMaxScans = 200;  // per scanner
   RowTable table(ThreeCol());
   const auto label = [](int64_t rid) {
     // Long enough to live on the heap, so a freed payload is detectable.
@@ -404,6 +407,7 @@ TEST(RowTableScanTest, PayloadReferencesSurviveConcurrentVacuum) {
 
   const auto scan = [&] {
     scanners_started.fetch_add(1);
+    int scans = 0;
     do {
       // Latest snapshot: Vacuum(cts) never unlinks the version it
       // resolves to, only superseded versions the scan may be holding.
@@ -420,7 +424,7 @@ TEST(RowTableScanTest, PayloadReferencesSurviveConcurrentVacuum) {
           },
           nullptr);
       EXPECT_EQ(rows, static_cast<size_t>(kRows));
-    } while (!done.load());
+    } while (++scans < kMaxScans && !done.load());
   };
   std::thread scanner_a(scan);
   std::thread scanner_b(scan);
@@ -818,9 +822,12 @@ TEST(FoldMemoTest, MemoCountBoundedOnLongChain) {
 }
 
 // Readers attach memos while writers publish deltas (in cts order, like
-// the commit tail), withdraw some, and Vacuum runs. Every read sees a
-// running total; the final fold equals the serial cts-order sum bit for
-// bit. Run under ThreadSanitizer via the tsan label.
+// the commit tail), withdraw some, and Vacuum runs under the table latch.
+// Every read sees a running total; the final fold equals the serial
+// cts-order sum bit for bit. Run under ThreadSanitizer via the tsan
+// label. Bounded by the writers: installs take the latch shared, so a
+// Vacuum waiting for readers never stalls them, and the readers and the
+// vacuum loop stop once the writers are done.
 TEST(FoldMemoTest, ConcurrentMemosWritersAndVacuum) {
   constexpr int kWriters = 2;
   constexpr int kPerWriter = 1500;

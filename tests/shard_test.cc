@@ -463,6 +463,44 @@ int64_t BalanceOf(ShardedEngine* engine, const IndexInfo* pk, int64_t key) {
   return balance;
 }
 
+// Retries of a sharded transaction run the same loop as a single node's:
+// the outcome reports the deterministic backoff schedule, and the
+// txn.retry.backoff_seconds gauge reports the engine's total, whichever
+// shard's manager last installed its probe.
+TEST(ShardedRetryTest, BackoffGaugeCountsShardedRetries) {
+  const int kAccounts = 16;
+  auto engine = MakeAcctEngine(2, kAccounts);
+  obs::MetricsRegistry metrics;
+  obs::Observability obs;
+  obs.metrics = &metrics;
+  engine->SetObservability(obs);
+  const IndexInfo* pk = engine->primary_catalog()->GetIndex("acct_pk");
+  ASSERT_NE(pk, nullptr);
+  const auto [from, to] = CrossShardPair(engine->router(), kAccounts);
+
+  constexpr int kAborts = 3;
+  int calls = 0;
+  const TxnBody transfer = TransferBody(pk, from, to, 5);
+  WorkMeter meter;
+  const TxnOutcome outcome = engine->ExecuteTransaction(
+      [&](TxnContext* txn, WorkMeter* m) {
+        if (calls++ < kAborts) return Status::Aborted("induced");
+        return transfer(txn, m);
+      },
+      /*client_id=*/3, /*txn_num=*/11, &meter);
+  ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+  EXPECT_EQ(outcome.attempts, kAborts + 1);
+  double expected = 0;
+  for (int i = 0; i < kAborts; ++i) {
+    expected += TxnManager::RetryBackoffSeconds(3, 11, i);
+  }
+  EXPECT_EQ(outcome.backoff_s, expected);
+  EXPECT_GT(outcome.backoff_s, 0.0);
+  // The gauge counts whole nanoseconds per retry.
+  EXPECT_NEAR(metrics.Snapshot().ValueOf(obs::kTxnRetryBackoffSeconds),
+              outcome.backoff_s, 1e-9 * kAborts);
+}
+
 TEST(TwoPcCrashMatrixTest, EveryCrashPointRecoversConsistently) {
   struct Case {
     TwoPcCrash crash;

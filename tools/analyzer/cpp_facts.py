@@ -18,8 +18,9 @@ exactly the constructs the passes consume:
   - inside function bodies: scoped lock acquisitions (MutexLock,
     SharedMutexLock, SharedReaderLock), manual Lock()/Unlock() pairs,
     the address-ordered-acquisition idiom, SessionPinLatch
-    AcquirePin()/WithExclusive() pins, mvcc::EpochManager::Guard
-    declarations, calls (for the interprocedural lock graph),
+    AcquirePin()/WithExclusive() pins, protected version-chain reads
+    with the locks held at them, calls (for the interprocedural lock
+    graph),
     range-for loops and .begin() iteration (for the determinism pass),
     switch statements with their case labels (for the exhaustiveness
     pass), and local variable declarations (for type resolution).
@@ -49,8 +50,8 @@ MANUAL_RELEASE = {"Unlock": False, "UnlockShared": True}
 CALLBACK_HOLDS = {"WithExclusive": "SessionPinLatch::mutex_"}
 # Pin-establishing facts for the unpinned-snapshot pass.
 PIN_CALLS = {"AcquirePin", "WithExclusive"}
-EPOCH_GUARD_SUFFIX = ("EpochManager", "::", "Guard")
-# Version-chain / snapshot reads that require a dominating pin.
+# Version-chain / snapshot reads that require a dominating pin (or, for
+# row-chain reads, a hold of the row table's latch).
 PROTECTED_CALLS = {"SnapshotVersions", "FoldVisible"}
 PROTECTED_MEMBER_CHAINS = ("head", "load")  # `....head.load(`
 
@@ -139,7 +140,7 @@ class FunctionFacts:
         self.acquisitions = []
         self.calls = []
         self.pins = []            # list of (line, kind)
-        self.protected_reads = []  # list of (line, what)
+        self.protected_reads = []  # list of (line, what, held chains)
         self.iterations = []      # list of IterFact
         self.switches = []
 
@@ -768,8 +769,8 @@ class _BodyWalker:
                 i = close + 1
                 continue
 
-            # Local declaration of an unordered container (for pass 3) and
-            # EpochManager::Guard pins. Generic local decl capture:
+            # Local declaration of an unordered container (for pass 3).
+            # Generic local decl capture:
             if t.kind == "id" and self._try_local_decl(i, end):
                 i = self._local_decl_end
                 continue
@@ -801,7 +802,8 @@ class _BodyWalker:
                 elif text in PIN_CALLS:
                     self.fn.pins.append((t.line, "pin"))
                 elif text in PROTECTED_CALLS:
-                    self.fn.protected_reads.append((t.line, text))
+                    self.fn.protected_reads.append(
+                        (t.line, text, self._held_chains()))
                     self.fn.calls.append(
                         Call(t.line, text, recv, self._held_chains()))
                 elif text == "begin" and recv:
@@ -810,7 +812,8 @@ class _BodyWalker:
                 else:
                     if text == "load" and len(recv) >= 2 and \
                             recv[-1] == "head":
-                        self.fn.protected_reads.append((t.line, "head.load"))
+                        self.fn.protected_reads.append(
+                            (t.line, "head.load", self._held_chains()))
                     self.fn.calls.append(
                         Call(t.line, text, recv, self._held_chains()))
                 i += 1
@@ -916,8 +919,8 @@ class _BodyWalker:
 
     def _try_local_decl(self, i, end):
         """Recognizes `Type name ...;` local declarations worth recording:
-        unordered containers, EpochManager::Guard, and class-typed locals
-        (for receiver resolution). Returns True and sets _local_decl_end
+        unordered containers and class-typed locals (for receiver
+        resolution). Returns True and sets _local_decl_end
         when consumed."""
         toks = self.toks
         # Qualified type chain: id (:: id)* possibly with <...> args.
@@ -962,16 +965,10 @@ class _BodyWalker:
         if nxt not in (";", "=", "(", "{"):
             return False
         type_str = "".join(type_parts)
-        is_guard = type_str.endswith("EpochManager::Guard") or \
-            type_str == "Guard"
-        is_unordered = "unordered_" in type_str
-        interesting = (is_guard or is_unordered or
-                       type_str[0].isupper() or "::" in type_str)
+        interesting = ("unordered_" in type_str or type_str[0].isupper() or
+                       "::" in type_str)
         if not interesting:
             return False
-        line = toks[i].line
-        if is_guard:
-            self.fn.pins.append((line, "epoch-guard"))
         self.fn.locals[name] = type_str
         # Consume through the declarator end.
         k = j + 1

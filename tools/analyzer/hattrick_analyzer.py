@@ -26,9 +26,11 @@ types — and runs four passes over the merged program:
   unpinned-snapshot     In engine, shard and storage code, every
                         version-chain read (SnapshotVersions,
                         FoldVisible, `head.load`) must be dominated by
-                        a session pin (AcquirePin / WithExclusive) or
-                        an mvcc::EpochManager::Guard in the same
-                        function — the GC-safety contract.
+                        a session pin (AcquirePin / WithExclusive) in
+                        the same function; a row-chain read
+                        (FoldVisible, `head.load`) may instead be made
+                        while RowTable::latch_ is held, shared or
+                        exclusive — the GC-safety contract.
   unordered-iteration   Type-resolved detection of range-for /
                         .begin() iteration over std::unordered_*
                         containers in TUs that feed exports, WAL
@@ -65,9 +67,9 @@ RULES = [
      "cycle in the static lock-order graph; two threads taking the "
      "cycle's locks in opposite witness orders deadlock"),
     ("unpinned-snapshot",
-     "version-chain read not dominated by a session pin or "
-     "mvcc::EpochManager::Guard in the same function; a concurrent "
-     "fold/vacuum can reclaim the versions mid-read"),
+     "version-chain read not dominated by a session pin in the same "
+     "function, nor (row chains) made under RowTable::latch_; a "
+     "concurrent fold/vacuum can reclaim the versions mid-read"),
     ("unordered-iteration",
      "iteration over a std::unordered_* container in a TU that feeds "
      "exports, WAL encoding, or commit publish order; hash order varies "
@@ -81,8 +83,12 @@ RULES = [
 # (wrapper internals would alias every wrapped lock into one node).
 EXCLUDED_FILES = {"src/common/mutex.h", "src/common/thread_annotations.h"}
 
-# Pass 2 scope: the pin/epoch GC-safety contract applies here.
+# Pass 2 scope: the pin/latch GC-safety contract applies here.
 PIN_REGIONS = ("src/engine/", "src/shard/", "src/storage/")
+# Row-chain nodes are freed only under the exclusive side of this latch
+# (RowTable::Vacuum), so holding either side covers a row-chain read.
+ROW_CHAIN_LATCH = "RowTable::latch_"
+ROW_CHAIN_READS = ("FoldVisible", "head.load")
 
 # Pass 3 scope: deterministic-output TUs (export/snapshot surfaces, WAL
 # encoding, commit publish order, replication apply order).
@@ -558,7 +564,7 @@ def _find_cycle(adj, scc):
 
 
 # ---------------------------------------------------------------------------
-# Pass 2: pin/epoch protocol
+# Pass 2: pin/latch protocol
 # ---------------------------------------------------------------------------
 
 def unpinned_snapshot_pass(program):
@@ -571,19 +577,23 @@ def unpinned_snapshot_pass(program):
         short = fn.qualname.split("::")[-1]
         if short in cpp_facts.PROTECTED_CALLS:
             continue  # the protected callee's own definition
-        for line, what in fn.protected_reads:
-            dominated = any(pin_line <= line for pin_line, _ in fn.pins)
-            if dominated:
+        for line, what, held in fn.protected_reads:
+            if any(pin_line <= line for pin_line, _ in fn.pins):
+                continue
+            row_chain = what in ROW_CHAIN_READS
+            if row_chain and any(
+                    program.resolve_lock_id(chain, fn) == ROW_CHAIN_LATCH
+                    for chain, _, _ in held):
                 continue
             if _allowed(program, fn.path, line, "unpinned-snapshot"):
                 continue
+            latch = f" nor made under {ROW_CHAIN_LATCH}" if row_chain else ""
             findings.append(Finding(
                 fn.path, line, "unpinned-snapshot",
                 f"{what} in {fn.qualname} is not dominated by a session "
-                f"pin (AcquirePin/WithExclusive) or "
-                f"mvcc::EpochManager::Guard in the same function; a "
-                f"concurrent fold or vacuum can reclaim the versions "
-                f"mid-read (GC-safety contract, DESIGN.md §8)"))
+                f"pin (AcquirePin/WithExclusive) in the same function"
+                f"{latch}; a concurrent fold or vacuum can reclaim the "
+                f"versions mid-read (GC-safety contract, DESIGN.md §8)"))
     return findings
 
 
@@ -733,7 +743,7 @@ def main(argv):
     parser = argparse.ArgumentParser(
         prog="hattrick-analyzer",
         description="AST-level semantic checks: lock-order cycles, "
-                    "pin/epoch protocol, determinism by type, exhaustive "
+                    "pin/latch protocol, determinism by type, exhaustive "
                     "protocol switches",
     )
     parser.add_argument("files", nargs="*",

@@ -31,8 +31,8 @@ type-resolved `unordered-iteration` pass of tools/analyzer/):
                             src/txn/mvcc*. Hand-rolled CAS loops are
                             where the lock-free protocol bugs live; all
                             version-chain CAS goes through the audited
-                            helpers in src/txn/mvcc.h (TryPushHead,
-                            Unlink, the epoch manager).
+                            helpers in src/txn/mvcc.h (PushHead,
+                            TryPushHead, AttachMemo).
   concrete-engine-include   #include of a concrete engine header
                             (engine/shared_engine.h, isolated_engine.h,
                             hybrid_engine.h) — either the quote or the
