@@ -30,8 +30,8 @@ namespace hattrick {
 ///     cv_.Wait(&mutex_);
 ///
 /// Lock-order discipline: a function that must hold two peer locks at
-/// once (e.g. {Row,Column,BTree}::CopyFrom between two tables of the same
-/// type) acquires them in address order via explicit Lock()/Unlock()
+/// once (BTree::CopyFrom between two trees, the one such site in src/)
+/// acquires them in address order via explicit Lock()/Unlock()
 /// calls — the analysis checks the hold set, the address order prevents
 /// the inversion.
 

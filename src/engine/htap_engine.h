@@ -46,7 +46,9 @@ class HtapEngine {
   virtual Status BulkLoad(const std::string& table,
                           const std::vector<Row>& rows) = 0;
 
-  /// Finalizes loading and snapshots the state for Reset().
+  /// Finalizes loading and seals the loaded rows as the state Reset()
+  /// restores (Catalog::Seal: each loaded row keeps the version the load
+  /// committed; no copy of the data is made).
   virtual Status FinishLoad() = 0;
 
   /// Executes `body` as one transaction with retry-on-abort at the
@@ -100,9 +102,11 @@ class HtapEngine {
   /// in-flight snapshots first. Returns versions dropped.
   virtual size_t Vacuum() { return 0; }
 
-  /// Restores the state saved by FinishLoad() (benchmark reset between
-  /// runs, Section 6.1: "Before each benchmark run we reset the data to
-  /// their initial state").
+  /// Restores the state sealed by FinishLoad() in place (benchmark reset
+  /// between runs, Section 6.1: "Before each benchmark run we reset the
+  /// data to their initial state"): every row table rewinds to its load
+  /// versions and indexes and columnar copies are rebuilt from them.
+  /// Callers quiesce transactions and sessions first.
   virtual Status Reset() = 0;
 
   /// Primary catalog (transactions resolve indexes/tables through it).

@@ -83,10 +83,8 @@ void HybridEngine::DeltaFeed::OnCommit(const WalRecord& record) {
 Status HybridEngine::Create(const DatabaseSpec& spec) {
   HATTRICK_RETURN_IF_ERROR(primary_.Create(spec));
   columns_.reserve(spec.tables.size());
-  column_snapshots_.reserve(spec.tables.size());
   for (const TableSpec& table : spec.tables) {
     columns_.push_back(std::make_unique<ColumnTable>(table.schema));
-    column_snapshots_.push_back(std::make_unique<ColumnTable>(table.schema));
   }
   primary_.txn_manager()->set_sink(&feed_);
   return Status::OK();
@@ -103,13 +101,7 @@ Status HybridEngine::BulkLoad(const std::string& table,
   return Status::OK();
 }
 
-Status HybridEngine::FinishLoad() {
-  HATTRICK_RETURN_IF_ERROR(primary_.FinishLoad());
-  for (size_t i = 0; i < columns_.size(); ++i) {
-    column_snapshots_[i]->CopyFrom(*columns_[i]);
-  }
-  return Status::OK();
-}
+Status HybridEngine::FinishLoad() { return primary_.FinishLoad(); }
 
 TxnOutcome HybridEngine::ExecuteTransaction(const TxnBody& body,
                                             uint32_t client_id,
@@ -307,8 +299,23 @@ Status HybridEngine::Reset() {
       MutexLock lock(&delta_mutex_);
       delta_.clear();
     }
-    for (size_t i = 0; i < columns_.size(); ++i) {
-      columns_[i]->CopyFrom(*column_snapshots_[i]);
+    // The rewound row copy holds exactly the loaded rows, in the order
+    // BulkLoad appended them to the columns, so re-appending them
+    // rebuilds the same dictionaries and zone maps.
+    const Catalog& rows = *primary_.primary_catalog();
+    for (size_t id = 0; id < columns_.size(); ++id) {
+      ColumnTable* column = columns_[id].get();
+      column->Clear();
+      rows.GetTable(static_cast<TableId>(id))
+          ->Scan(
+              kMaxTs - 1,
+              [column](Rid, const Row& row) {
+                const Status s = column->Append(row, /*meter=*/nullptr);
+                assert(s.ok());
+                (void)s;
+                return true;
+              },
+              /*meter=*/nullptr);
     }
   });
   return status;
@@ -322,10 +329,8 @@ size_t HybridEngine::PendingDelta() const {
   return delta_.size();
 }
 
-const ColumnTable* HybridEngine::column_table(
-    const std::string& table) const {
-  // The post-load catalog has the row copy's table ids.
-  return columns_[primary_.post_load().GetTableId(table)].get();
+const ColumnTable* HybridEngine::column_table(const std::string& table) {
+  return columns_[primary_.primary_catalog()->GetTableId(table)].get();
 }
 
 }  // namespace hattrick

@@ -67,11 +67,7 @@ class HybridEngine final : public HtapEngine {
   size_t PendingDelta() const EXCLUDES(delta_mutex_);
 
   /// The columnar copy of `table` (tests/benchmarks).
-  const ColumnTable* column_table(const std::string& table) const;
-
-  /// The row copy's post-load state (a sharded node's standby resets
-  /// from it).
-  const Catalog& post_load_rows() const { return primary_.post_load(); }
+  const ColumnTable* column_table(const std::string& table);
 
  protected:
   void OnObservabilityChanged() override;
@@ -105,9 +101,6 @@ class HybridEngine final : public HtapEngine {
   HybridEngineConfig config_;
   SharedEngine primary_;  // the row copy
   std::vector<std::unique_ptr<ColumnTable>> columns_;  // by TableId
-  /// Post-load columnar state for Reset(). TruncateTo is insufficient
-  /// because merged *updates* mutate loaded rows in place.
-  std::vector<std::unique_ptr<ColumnTable>> column_snapshots_;
   DeltaFeed feed_{this};
   mutable Mutex delta_mutex_;
   std::deque<WalRecord> delta_ GUARDED_BY(delta_mutex_);

@@ -95,8 +95,7 @@ void IsolatedEngine::OnObservabilityChanged() {
 
 Status IsolatedEngine::Reset() {
   HATTRICK_RETURN_IF_ERROR(primary_.Reset());
-  standbys_.Reset(std::vector<const Catalog*>(standbys_.size(),
-                                              &primary_.post_load()));
+  standbys_.Reset();
   next_session_.store(0);
   return Status::OK();
 }

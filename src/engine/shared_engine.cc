@@ -38,7 +38,6 @@ SharedEngine::SharedEngine(SharedEngineConfig config)
 Status SharedEngine::Create(const DatabaseSpec& spec) {
   if (created_) return Status::Internal("Create called twice");
   BuildCatalog(spec, /*with_indexes=*/true, &catalog_);
-  BuildCatalog(spec, /*with_indexes=*/false, &snapshot_);
   txn_manager_ = std::make_unique<TxnManager>(&catalog_, &oracle_,
                                               /*sink=*/nullptr);
   created_ = true;
@@ -54,7 +53,7 @@ Status SharedEngine::BulkLoad(const std::string& table,
 
 Status SharedEngine::FinishLoad() {
   if (loaded_) return Status::Internal("load already finished");
-  snapshot_.CopyContentsFrom(catalog_);
+  catalog_.Seal();
   oracle_.ResetTo(1);
   loaded_ = true;
   return Status::OK();
@@ -108,7 +107,7 @@ size_t SharedEngine::Vacuum() {
 
 Status SharedEngine::Reset() {
   if (!loaded_) return Status::Internal("FinishLoad not called");
-  catalog_.CopyContentsFrom(snapshot_);
+  catalog_.Rewind();
   oracle_.ResetTo(1);
   txn_manager_->ResetLsn(1);
   return Status::OK();

@@ -36,14 +36,10 @@ class SharedEngine final : public HtapEngine {
   TxnManager* txn_manager() override { return txn_manager_.get(); }
 
   IsolationLevel isolation() const { return config_.isolation; }
-  /// The post-load state Reset() restores (the isolated design resets
-  /// its standbys from it too).
-  const Catalog& post_load() const { return snapshot_; }
 
  private:
   SharedEngineConfig config_;
   Catalog catalog_;
-  Catalog snapshot_;  // post-load state for Reset()
   TimestampOracle oracle_;
   std::unique_ptr<TxnManager> txn_manager_;
   bool created_ = false;

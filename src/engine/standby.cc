@@ -69,14 +69,14 @@ Status StandbySet::BulkLoad(size_t chain, const std::string& table,
 
 void StandbySet::FinishLoad() {
   for (StandbyChain& chain : chains_) {
+    chain.catalog->Seal();
     chain.replica->ResetTo(/*lsn=*/0, /*ts=*/1);
   }
 }
 
-void StandbySet::Reset(const std::vector<const Catalog*>& post_load) {
-  for (size_t i = 0; i < chains_.size(); ++i) {
-    StandbyChain& chain = chains_[i];
-    chain.catalog->CopyContentsFrom(*post_load[i]);
+void StandbySet::Reset() {
+  for (StandbyChain& chain : chains_) {
+    chain.catalog->Rewind();
     chain.stream->Reset();
     chain.replica->ResetTo(/*lsn=*/0, /*ts=*/1);
   }

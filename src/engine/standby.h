@@ -72,13 +72,13 @@ class StandbySet {
   Status BulkLoad(size_t chain, const std::string& table,
                   const std::vector<Row>& rows);
 
-  /// Starts every replica's timestamp domain after the load.
+  /// Seals every chain's catalog at its loaded state and starts every
+  /// replica's timestamp domain.
   void FinishLoad();
 
-  /// Benchmark reset: chain i's catalog is restored from *post_load[i]
-  /// (the primary's post-load snapshot; the standby loaded the same
-  /// rows), its stream cleared and its replica rewound.
-  void Reset(const std::vector<const Catalog*>& post_load);
+  /// Benchmark reset: every chain's catalog rewinds to its sealed load
+  /// state, its stream is cleared and its replica rewound.
+  void Reset();
 
   /// Garbage-collects standby versions no replica snapshot can see.
   size_t Vacuum();

@@ -841,13 +841,10 @@ Status ShardedEngine::Reset() {
   // Drain any parked distributed transactions first: their reserved
   // commit slots would stall the inner engines' ordered tails forever.
   RecoverCoordinator();
-  std::vector<const Catalog*> post_load;
   for (Shard& shard : shards_) {
     HATTRICK_RETURN_IF_ERROR(shard.engine->Reset());
-    post_load.push_back(&shard.engine->post_load_rows());
   }
-  // Each standby loaded exactly its shard primary's rows.
-  standbys_.Reset(post_load);
+  standbys_.Reset();
   two_pc_log_.Reset();
   next_gtid_.store(1, std::memory_order_relaxed);
   return Status::OK();

@@ -91,19 +91,17 @@ size_t Catalog::VacuumAll(Ts horizon) {
   return dropped;
 }
 
-void Catalog::CopyContentsFrom(const Catalog& other) {
-  assert(tables_.size() == other.tables_.size() && "layout mismatch");
-  for (size_t i = 0; i < tables_.size(); ++i) {
-    tables_[i]->CopyFrom(*other.tables_[i]);
-  }
-  // Rebuild index contents: the index *definitions* belong to this
-  // catalog (they may differ from `other`, e.g. physical-schema
-  // experiments), so re-derive entries from the copied tables.
+void Catalog::Seal() {
+  for (const auto& table : tables_) table->Seal();
+}
+
+void Catalog::Rewind() {
+  for (const auto& table : tables_) table->Rewind();
   for (const auto& index : indexes_) {
     index->tree->Clear();
     RowTable* table = tables_[index->table_id].get();
-    // kMaxTs - 1 sees every committed version (end_ts of live versions is
-    // kMaxTs, which would fail the end_ts > snapshot visibility test).
+    // kMaxTs - 1 sees every committed version; after the rewind that is
+    // exactly the load version of each sealed slot.
     table->Scan(
         kMaxTs - 1,
         [&](Rid rid, const Row& row) {

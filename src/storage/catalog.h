@@ -73,9 +73,14 @@ class Catalog {
   /// total versions dropped.
   size_t VacuumAll(Ts horizon);
 
-  /// Deep-copies all table contents and rebuilt indexes from `other`,
-  /// which must have an identical layout (benchmark reset).
-  void CopyContentsFrom(const Catalog& other);
+  /// Seals every table's loaded rows as its post-load state (see
+  /// RowTable::Seal). Called once, after the bulk load.
+  void Seal();
+
+  /// Rewinds every table to its sealed state (see RowTable::Rewind) and
+  /// rebuilds this catalog's indexes from the rewound rows in rid order
+  /// (benchmark reset). Callers quiesce transactions first.
+  void Rewind();
 
  private:
   std::vector<std::unique_ptr<RowTable>> tables_;

@@ -250,12 +250,6 @@ void ColumnTable::AppendDeltaVersion(uint64_t csn, size_t rid, size_t column,
   newest_update_[rid] = &delta_log_.back();
 }
 
-void ColumnTable::ClearVersionsLocked() {
-  delta_log_.clear();
-  pending_inserts_.clear();
-  newest_update_.clear();
-}
-
 size_t ColumnTable::PendingVersions() const {
   SharedReaderLock lock(&delta_mu_);
   return delta_log_.size();
@@ -332,89 +326,20 @@ size_t ColumnTable::FoldVersions(uint64_t horizon, WorkMeter* meter) {
   return folded;
 }
 
-void ColumnTable::CopyFrom(const ColumnTable& other) {
-  if (this == &other) return;
-  // Version state first, sequentially (never nested with the base
-  // latches below, so the address-order discipline is untouched): the
-  // destination's unfolded log dies with its base contents, and the
-  // source must not have one — copies only run against quiesced or
-  // snapshot tables, which are always fully folded.
-  {
-    SharedReaderLock src(&other.delta_mu_);
-    assert(other.delta_log_.empty() &&
-           "CopyFrom source has unfolded versions");
-  }
-  {
-    SharedMutexLock dst(&delta_mu_);
-    ClearVersionsLocked();
-  }
-  // Address-ordered acquisition: copies run in both directions between
-  // the same table pair (load snapshotting vs benchmark reset), so a
-  // fixed this-then-other order would be a lock-order inversion.
-  // Explicit Lock/Unlock because a scoped lock cannot express the
-  // conditional order; the analysis still checks the hold set on every
-  // path. Schemas are identical by contract, so schema_ stays untouched.
-  if (this < &other) {
-    latch_.Lock();
-    other.latch_.LockShared();
-  } else {
-    other.latch_.LockShared();
-    latch_.Lock();
-  }
-  columns_ = other.columns_;
-  num_rows_ = other.num_rows_;
-  other.latch_.UnlockShared();
-  latch_.Unlock();
-}
-
-void ColumnTable::TruncateTo(size_t n) {
+void ColumnTable::Clear() {
   {
     SharedMutexLock delta_lock(&delta_mu_);
-    ClearVersionsLocked();
+    delta_log_.clear();
+    pending_inserts_.clear();
+    newest_update_.clear();
   }
   SharedMutexLock lock(&latch_);
-  if (n >= num_rows_) return;
   for (Column& col : columns_) {
-    switch (col.type) {
-      case DataType::kInt64:
-        col.ints.resize(n);
-        break;
-      case DataType::kDouble:
-        col.doubles.resize(n);
-        break;
-      case DataType::kString:
-        col.codes.resize(n);
-        // The dictionary may retain unused entries; harmless.
-        break;
-    }
+    const DataType type = col.type;
+    col = Column();
+    col.type = type;
   }
-  // Zone maps for the truncated tail are stale beyond the new bound;
-  // rebuild the last partial block conservatively by widening to the
-  // remaining rows.
-  const size_t blocks = NumBlocks(n);
-  for (Column& col : columns_) {
-    if (col.type == DataType::kString) continue;
-    col.block_min.resize(blocks);
-    col.block_max.resize(blocks);
-    if (blocks == 0) continue;
-    const size_t first = (blocks - 1) * kBlockRows;
-    double mn = 0;
-    double mx = 0;
-    for (size_t r = first; r < n; ++r) {
-      const double v = col.type == DataType::kInt64
-                           ? static_cast<double>(col.ints[r])
-                           : col.doubles[r];
-      if (r == first) {
-        mn = mx = v;
-      } else {
-        mn = std::min(mn, v);
-        mx = std::max(mx, v);
-      }
-    }
-    col.block_min[blocks - 1] = mn;
-    col.block_max[blocks - 1] = mx;
-  }
-  num_rows_ = n;
+  num_rows_ = 0;
 }
 
 }  // namespace hattrick

@@ -34,9 +34,9 @@ namespace hattrick {
 /// life of the session because (a) the log is a std::deque and commits
 /// only push_back, which keeps references to existing elements valid,
 /// and (b) the log drops elements (pop_front, clear) only in
-/// ColumnTable::FoldVersions, CopyFrom and TruncateTo, which the engine
-/// runs under its exclusive merge latch — and that latch waits until no
-/// session holds a pin. A snapshot must not outlive its session's pin.
+/// ColumnTable::FoldVersions and Clear, which the engine runs under its
+/// exclusive merge latch — and that latch waits until no session holds
+/// a pin. A snapshot must not outlive its session's pin.
 struct ColumnDeltaSnapshot {
   size_t base_rows = 0;
   size_t bound = 0;
@@ -160,16 +160,11 @@ class ColumnTable {
   Status ApplyDelta(size_t row, size_t column, const Value& increment,
                     WorkMeter* meter);
 
-  /// Replaces contents with a deep copy of `other` (benchmark reset).
-  /// The destination's unfolded version log is dropped; the source must
-  /// not have one (snapshot tables never do).
-  void CopyFrom(const ColumnTable& other);
-
-  /// Drops all rows with index >= `n` (used by reset in delta designs).
-  /// Also drops any unfolded versions: truncation rewinds the table to a
-  /// pre-delta state, so retaining versions stamped against the old row
-  /// space would be nonsense.
-  void TruncateTo(size_t n);
+  /// Drops every row and the unfolded version log, leaving the table as
+  /// constructed (benchmark reset re-appends the load rows, which rebuilds
+  /// dictionaries and zone maps exactly as the load did). Callers exclude
+  /// running sessions, like FoldVersions.
+  void Clear();
 
   // --- CSN-stamped version store (bitmap merge mode) -----------------
   //
@@ -230,9 +225,6 @@ class ColumnTable {
     Row row;
   };
 
-  /// Drops the whole version log and its indexes.
-  void ClearVersionsLocked() REQUIRES(delta_mu_);
-
   struct Column {
     DataType type;
     std::vector<int64_t> ints;
@@ -248,7 +240,7 @@ class ColumnTable {
   const Schema schema_;  // immutable after construction; never latched
   mutable SharedMutex latch_;
   /// Structural state: the latch guards all *mutation* (Append, UpdateRow,
-  /// CopyFrom, TruncateTo run under the exclusive latch). The per-cell and
+  /// ApplyDelta and Clear run under the exclusive latch). The per-cell and
   /// raw-pointer read accessors intentionally take no latch: readers are
   /// synchronized externally by the engine's analytics session pin, which
   /// excludes every structural change for the life of the session (see

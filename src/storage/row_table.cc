@@ -29,39 +29,6 @@ VersionNode* NewCommittedDelta(uint32_t column, const Value& increment,
   return node;
 }
 
-/// Deep-copies the committed nodes of the chain at `head` into the empty
-/// `dst` (newest first). Pending and aborted nodes are dropped: a cloned
-/// pending node could never be published by its (foreign) owner and
-/// would pin the chain forever. Fold memos are not copied; readers
-/// rebuild them.
-void CloneCommitted(const VersionNode* head, VersionChain* dst) {
-  VersionNode* new_head = nullptr;
-  size_t length = 0;
-  VersionNode* tail = nullptr;
-  for (const VersionNode* node = head; node != nullptr;
-       node = node->prev.load(std::memory_order_acquire)) {
-    if (!mvcc::IsCommitted(mvcc::StatusOf(node))) continue;
-    auto* clone = new VersionNode();
-    clone->tombstone = node->tombstone;
-    clone->is_delta = node->is_delta;
-    clone->delta_column = node->delta_column;
-    clone->payload = node->payload;
-    clone->cts.store(node->cts.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-    clone->status.store(node->status.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-    if (tail == nullptr) {
-      new_head = clone;
-    } else {
-      tail->prev.store(clone, std::memory_order_relaxed);
-    }
-    tail = clone;
-    ++length;
-  }
-  dst->length.store(length, std::memory_order_relaxed);
-  dst->head.store(new_head, std::memory_order_release);
-}
-
 }  // namespace
 
 RowTable::RowTable(Schema schema) : schema_(std::move(schema)) {}
@@ -323,10 +290,13 @@ size_t RowTable::Vacuum(Ts horizon) {
   // becomes during the pass. The unlink rule (aborted nodes, and
   // committed nodes below the newest committed full version at or under
   // the horizon) is the one FoldMemo's `hops` argument relies on (see
-  // txn/mvcc.h).
+  // txn/mvcc.h), with one exception: a sealed slot's tail is its load
+  // version, which Rewind restores, so it is never unlinked.
   SharedMutexLock lock(&latch_);
   size_t unlinked = 0;
-  for (VersionChain& chain : slots_) {
+  for (Rid rid = 0; rid < slots_.size(); ++rid) {
+    VersionChain& chain = slots_[rid];
+    const bool sealed = rid < sealed_slots_;
     std::atomic<VersionNode*>* link = &chain.head;
     bool superseded = false;
     size_t dropped = 0;
@@ -334,8 +304,9 @@ size_t RowTable::Vacuum(Ts horizon) {
     while (node != nullptr) {
       const VersionStatus st = mvcc::StatusOf(node);
       VersionNode* older = node->prev.load(std::memory_order_relaxed);
+      const bool load_version = sealed && older == nullptr;
       if (st == VersionStatus::kAborted ||
-          (superseded && mvcc::IsCommitted(st))) {
+          (superseded && mvcc::IsCommitted(st) && !load_version)) {
         link->store(older, std::memory_order_relaxed);
         delete node;
         ++dropped;
@@ -357,39 +328,31 @@ size_t RowTable::Vacuum(Ts horizon) {
   return unlinked;
 }
 
-void RowTable::CopyFrom(const RowTable& other) {
-  if (this == &other) return;
-  // Acquire the two latches in address order: copies run in both
-  // directions between the same table pair (load snapshotting vs
-  // benchmark reset), so a fixed this-then-other order would be a
-  // lock-order inversion. Explicit Lock/Unlock because a scoped lock
-  // cannot express the conditional order; the thread-safety analysis
-  // still verifies both branches end holding (and both exits release)
-  // exactly {latch_, other.latch_}. The schemas are identical by
-  // contract (Catalog resets copy between same-layout tables), so
-  // schema_ stays untouched and needs no latch.
-  if (this < &other) {
-    latch_.Lock();
-    other.latch_.LockShared();
-  } else {
-    other.latch_.LockShared();
-    latch_.Lock();
+void RowTable::Seal() {
+  SharedMutexLock lock(&latch_);
+  sealed_slots_ = slots_.size();
+}
+
+void RowTable::Rewind() {
+  // An ordinary exclusive section, like Vacuum: no reader or installer
+  // can hold a node of this table, so the versions above each load
+  // version (and the fold memos on them) are deleted at once.
+  SharedMutexLock lock(&latch_);
+  while (slots_.size() > sealed_slots_) {
+    mvcc::FreeChain(slots_.back().head.load(std::memory_order_acquire));
+    slots_.pop_back();
   }
-  // The exclusive latch excludes every reader of this table, so the old
-  // chains free directly; `other`'s shared latch keeps Vacuum from
-  // freeing the nodes being cloned (concurrent installs only add heads).
   for (VersionChain& chain : slots_) {
-    mvcc::FreeChain(chain.head.load(std::memory_order_acquire));
-    chain.head.store(nullptr, std::memory_order_relaxed);
+    VersionNode* node = chain.head.load(std::memory_order_acquire);
+    for (VersionNode* older = node->prev.load(std::memory_order_relaxed);
+         older != nullptr;
+         older = node->prev.load(std::memory_order_relaxed)) {
+      delete node;
+      node = older;
+    }
+    chain.head.store(node, std::memory_order_relaxed);
+    chain.length.store(1, std::memory_order_relaxed);
   }
-  slots_.clear();
-  for (const VersionChain& src : other.slots_) {
-    slots_.emplace_back();
-    CloneCommitted(src.head.load(std::memory_order_acquire),
-                   &slots_.back());
-  }
-  other.latch_.UnlockShared();
-  latch_.Unlock();
 }
 
 }  // namespace hattrick

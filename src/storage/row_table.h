@@ -30,7 +30,7 @@ namespace hattrick {
 /// `latch_` guards the slot directory (the deque) and node lifetime:
 /// reads and installs run under the shared side, so they never block one
 /// another, and a version node is freed only under the exclusive side
-/// (Vacuum, CopyFrom, the destructor). A node or payload pointer read
+/// (Vacuum, Rewind, the destructor). A node or payload pointer read
 /// from a chain is therefore valid while the latch is held. Vacuum never
 /// folds deltas, and no benchmark driver calls it,
 /// so a hot row's chain (Payment's S_YTD and C_PAYMENTCNT increments)
@@ -40,6 +40,12 @@ namespace hattrick {
 /// the versions committed since the last memo (installs still walk to the
 /// newest committed full version). Each chain also keeps its physical
 /// length, which heap scans meter without a walk.
+///
+/// The post-load state is a snapshot inside the table itself: Seal marks
+/// the loaded slots, each of whose chain tail is the version the load
+/// committed, Vacuum never unlinks those tails, and Rewind (benchmark
+/// reset) cuts every sealed chain back to its tail and drops the slots
+/// appended since.
 ///
 /// This mirrors the Hekaton/STO-style MVCC design the paper's "shared"
 /// and "hybrid" categories rely on (Section 2.2): readers never block
@@ -122,7 +128,7 @@ class RowTable {
 
   /// Visits every row visible at `snapshot` in rid order; return false
   /// from the visitor to stop. The latch is held shared for the whole
-  /// visit, so the visitor must not call Vacuum, Insert or CopyFrom on
+  /// visit, so the visitor must not call Vacuum, Insert or Rewind on
   /// this table. The row is passed without a copy when its visible
   /// version carries no deltas: the reference points into the version
   /// node and is valid only until the visitor returns (copy what must
@@ -151,17 +157,27 @@ class RowTable {
   /// Unlinks versions no snapshot at or after `horizon` can reach:
   /// aborted nodes, and committed nodes superseded by a newer committed
   /// full version with cts <= horizon. Deltas above the newest such full
-  /// version stay linked (Vacuum does not fold them). Runs under the
-  /// exclusive latch, so it waits for in-flight reads, installs and scans
+  /// version stay linked (Vacuum does not fold them), and so does every
+  /// sealed slot's load version (see Seal). Runs under the exclusive
+  /// latch, so it waits for in-flight reads, installs and scans
   /// and blocks new ones; unlinked nodes, and the fold memos they carry,
   /// are freed at once. Callers quiesce snapshots older than `horizon`
   /// first. Returns the number unlinked.
   size_t Vacuum(Ts horizon);
 
-  /// Replaces contents with a deep copy of `other`'s committed versions
-  /// (benchmark reset; pending/aborted nodes and fold memos are not
-  /// carried over).
-  void CopyFrom(const RowTable& other);
+  /// Records the current slots as the table's load state: from now on
+  /// each of them keeps its oldest version (the load version) through
+  /// Vacuum, so Rewind can always restore it. Called once, after the
+  /// bulk load.
+  void Seal();
+
+  /// Restores the sealed load state in place (benchmark reset): every
+  /// sealed slot keeps only its load version, so versions above it, and
+  /// the fold memos they carry, are freed; slots appended after Seal are
+  /// dropped. Runs under the exclusive latch. Callers quiesce
+  /// transactions first (a pending node's owner would be left holding a
+  /// freed node). An unsealed table rewinds to empty.
+  void Rewind();
 
  private:
   bool FoldAt(Rid rid, Ts snapshot, Row* out, mvcc::FoldObservation* obs,
@@ -170,6 +186,8 @@ class RowTable {
   mutable SharedMutex latch_;
   const Schema schema_;  // immutable after construction; never latched
   std::deque<mvcc::VersionChain> slots_ GUARDED_BY(latch_);
+  /// Slots [0, sealed_slots_) hold the load state (see Seal).
+  size_t sealed_slots_ GUARDED_BY(latch_) = 0;
 };
 
 }  // namespace hattrick

@@ -36,7 +36,7 @@ inline constexpr Ts kMaxTs = std::numeric_limits<Ts>::max();
 ///
 /// Reclamation is not lock-free: every chain walk runs under the owning
 /// RowTable's shared latch, and nodes are freed only under its exclusive
-/// latch (Vacuum, CopyFrom, the destructor). See RowTable::Vacuum.
+/// latch (Vacuum, Rewind, the destructor). See RowTable::Vacuum.
 ///
 /// All raw compare_exchange loops in the repository live in this header
 /// (enforced by the `raw-cas` lint rule); everything else manipulates
@@ -79,16 +79,18 @@ inline constexpr size_t kMemoMinDeltas = 8;
 /// F is the row's newest committed one.
 ///
 /// Lifetime. A memo is set once by CAS (AttachMemo) and never changed;
-/// ~VersionNode frees it, so whatever frees its node (FreeChain, Vacuum)
-/// frees the memo with it, and a memo is valid exactly as long as its
-/// node: while the table latch is held. CloneCommitted (CopyFrom) does
-/// not copy memos.
+/// ~VersionNode frees it, so whatever frees its node (FreeChain, Vacuum,
+/// Rewind) frees the memo with it, and a memo is valid exactly as long
+/// as its node: while the table latch is held. Rewind frees every delta
+/// node of a chain, so no memo survives a benchmark reset.
 ///
 /// `hops` stays exact: Vacuum unlinks aborted nodes, which a suffix has
 /// none of, and committed nodes below a newer committed full version G.
 /// G cannot sit inside the suffix above F (the suffix holds only
 /// deltas above F), so either G is F and only nodes below the suffix go,
-/// or G is above X and X itself is unlinked with the memo.
+/// or G is above X and X itself is unlinked with the memo. The one
+/// committed node Vacuum always keeps, a sealed slot's load version, is
+/// a full version, so it is F or lies below the suffix.
 ///
 /// Meter parity. A walk that uses a memo charges version_hops = nodes
 /// walked (X included) + hops - 1 and rows_read once, exactly what the

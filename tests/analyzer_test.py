@@ -79,6 +79,14 @@ class UnpinnedSnapshotPassTest(unittest.TestCase):
         self.assertIn("RowTable::ColumnReadUnderRowLatch",
                       findings[1].message)
 
+    def test_read_in_for_init_fires(self):
+        # The for header is walked like the body: an unlatched head.load
+        # in a for-init fires, a latched one does not.
+        findings = analyze(["src/storage/for_init_bad.cc"])
+        self.assertEqual({f.rule for f in findings}, {"unpinned-snapshot"})
+        self.assertEqual([f.line for f in findings], [15])
+        self.assertIn("RowTable::AnyPending ", findings[0].message)
+
     def test_pin_region_is_path_scoped(self):
         # The identical file outside src/engine|shard|storage is silent.
         with tempfile.TemporaryDirectory() as tmp:

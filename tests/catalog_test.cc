@@ -1,5 +1,6 @@
 // Tests for the catalog: table/index registration, key derivation, index
-// rebuild on content copy, and the physical-schema helpers.
+// rebuild on rewind to the sealed load state, and the physical-schema
+// helpers.
 
 #include <gtest/gtest.h>
 
@@ -82,53 +83,96 @@ TEST(CatalogTest, DropAllIndexes) {
   EXPECT_TRUE(catalog.TableIndexes(0).empty());
 }
 
-TEST(CatalogTest, CopyContentsRebuildsIndexes) {
-  Catalog source;
-  RowTable* src_table = source.CreateTable("people", PersonSchema());
-  for (int i = 0; i < 20; ++i) {
-    src_table->Insert(Row{int64_t{i}, std::string("p" + std::to_string(i)),
-                          int64_t{20 + i}},
-                      /*begin_ts=*/1, nullptr);
-  }
-
-  Catalog dest;
-  dest.CreateTable("people", PersonSchema());
-  IndexInfo* pk = dest.CreateIndex("pk", "people", {0}, true);
-  dest.CopyContentsFrom(source);
-
-  EXPECT_EQ(dest.GetTable("people")->NumSlots(), 20u);
-  EXPECT_EQ(pk->tree->size(), 20u);
-  uint64_t rid = 0;
-  ASSERT_TRUE(pk->tree->Lookup(key::EncodeKey({Value(int64_t{7})}), &rid,
-                               nullptr));
-  EXPECT_EQ(rid, 7u);
+Row Person(int64_t id, const std::string& name) {
+  return Row{id, name, int64_t{20} + id};
 }
 
-TEST(CatalogTest, CopyContentsSeesLatestCommittedVersions) {
-  Catalog source;
-  RowTable* src_table = source.CreateTable("people", PersonSchema());
-  const Rid rid = src_table->Insert(
-      Row{int64_t{1}, std::string("old"), int64_t{1}}, 1, nullptr);
-  ASSERT_TRUE(src_table
-                  ->AddVersion(rid,
-                               Row{int64_t{1}, std::string("new"),
-                                   int64_t{2}},
-                               5, nullptr)
-                  .ok());
+/// Inserts `row` at `ts` into `table` and every index over it (the load
+/// and insert paths of the engines).
+Rid InsertIndexed(Catalog* catalog, const std::string& table, const Row& row,
+                  Ts ts) {
+  const Rid rid = catalog->GetTable(table)->Insert(row, ts, nullptr);
+  for (const IndexInfo* index :
+       catalog->TableIndexes(catalog->GetTableId(table))) {
+    index->tree->Insert(index->KeyFor(row, rid), rid, nullptr);
+  }
+  return rid;
+}
 
-  Catalog dest;
-  dest.CreateTable("people", PersonSchema());
-  IndexInfo* by_name = dest.CreateIndex("name", "people", {1}, false);
-  dest.CopyContentsFrom(source);
-  // The rebuilt index reflects the newest committed version.
+size_t PrefixHits(const IndexInfo& index, const std::string& name) {
   size_t hits = 0;
-  by_name->tree->ScanPrefix(key::EncodeKey({Value("new")}),
-                            [&](const std::string&, uint64_t) {
-                              ++hits;
-                              return true;
-                            },
-                            nullptr);
-  EXPECT_EQ(hits, 1u);
+  index.tree->ScanPrefix(key::EncodeKey({Value(name)}),
+                         [&](const std::string&, uint64_t) {
+                           ++hits;
+                           return true;
+                         },
+                         nullptr);
+  return hits;
+}
+
+TEST(CatalogTest, RewindRestoresLoadStateAndIndexes) {
+  Catalog catalog;
+  RowTable* people = catalog.CreateTable("people", PersonSchema());
+  IndexInfo* pk = catalog.CreateIndex("pk", "people", {0}, true);
+  for (int i = 0; i < 20; ++i) {
+    InsertIndexed(&catalog, "people", Person(i, "p" + std::to_string(i)), 1);
+  }
+  catalog.Seal();
+  for (int round = 0; round < 2; ++round) {
+    ASSERT_TRUE(people->AddVersion(7, Person(7, "changed"), 5, nullptr).ok());
+    ASSERT_TRUE(people->MarkDeleted(8, 6, nullptr).ok());
+    EXPECT_EQ(InsertIndexed(&catalog, "people", Person(20, "late"), 7), 20u);
+    EXPECT_EQ(pk->tree->size(), 21u);
+
+    catalog.Rewind();
+    EXPECT_EQ(people->NumSlots(), 20u);
+    EXPECT_EQ(people->NumVersions(), 20u);
+    EXPECT_EQ(pk->tree->size(), 20u);
+    uint64_t rid = 0;
+    ASSERT_TRUE(pk->tree->Lookup(key::EncodeKey({Value(int64_t{8})}), &rid,
+                                 nullptr));
+    EXPECT_EQ(rid, 8u);
+    EXPECT_FALSE(pk->tree->Lookup(key::EncodeKey({Value(int64_t{20})}), &rid,
+                                  nullptr));
+    Row row;
+    ASSERT_TRUE(people->ReadLatest(7, &row, nullptr));
+    EXPECT_EQ(row[1].AsString(), "p7");
+  }
+}
+
+// A standby catalog carries its own index definitions; the rewind
+// rebuilds exactly those, from the load versions rather than the newest
+// committed ones.
+TEST(CatalogTest, RewindRebuildsOwnIndexDefinitions) {
+  Catalog plain;
+  plain.CreateTable("people", PersonSchema());
+  Catalog standby;
+  standby.CreateTable("people", PersonSchema());
+  IndexInfo* by_name = standby.CreateIndex("name", "people", {1}, false);
+  IndexInfo* by_age = standby.CreateIndex("age", "people", {2}, true);
+  for (Catalog* catalog : {&plain, &standby}) {
+    InsertIndexed(catalog, "people", Person(1, "old"), 1);
+    InsertIndexed(catalog, "people", Person(2, "other"), 1);
+    catalog->Seal();
+    ASSERT_TRUE(catalog->GetTable("people")
+                    ->AddVersion(0, Person(1, "new"), 5, nullptr)
+                    .ok());
+    InsertIndexed(catalog, "people", Person(3, "new"), 6);
+  }
+  by_name->tree->Insert(by_name->KeyFor(Person(1, "new"), 0), 0, nullptr);
+
+  plain.Rewind();
+  standby.Rewind();
+  EXPECT_TRUE(plain.AllIndexes().empty());
+  EXPECT_EQ(plain.GetTable("people")->NumSlots(), 2u);
+  EXPECT_EQ(by_name->tree->size(), 2u);
+  EXPECT_EQ(PrefixHits(*by_name, "old"), 1u);
+  EXPECT_EQ(PrefixHits(*by_name, "new"), 0u);
+  EXPECT_EQ(by_age->tree->size(), 2u);
+  uint64_t rid = 0;
+  ASSERT_TRUE(by_age->tree->Lookup(key::EncodeKey({Value(int64_t{22})}), &rid,
+                                   nullptr));
+  EXPECT_EQ(rid, 1u);
 }
 
 }  // namespace

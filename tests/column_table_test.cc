@@ -1,7 +1,7 @@
 // Tests for the columnar table: typed storage, dictionary encoding, zone
-// maps (correctness of pruning bounds), in-place updates and copies, and
-// the bitmap-mode version log (per-rid newest-version index, copy-free
-// session snapshots under concurrent commits).
+// maps (correctness of pruning bounds), in-place updates, reset by clear
+// and re-append, and the bitmap-mode version log (per-rid newest-version
+// index, copy-free session snapshots under concurrent commits).
 
 #include <atomic>
 #include <cstring>
@@ -134,44 +134,6 @@ TEST(ColumnTableTest, UpdateRowOutOfRange) {
             StatusCode::kOutOfRange);
 }
 
-TEST(ColumnTableTest, CopyFromIsDeep) {
-  ColumnTable a(Mixed());
-  ASSERT_TRUE(a.Append(Row{int64_t{1}, 1.0, std::string("x")},
-                       nullptr).ok());
-  ColumnTable b(Mixed());
-  b.CopyFrom(a);
-  ASSERT_TRUE(b.Append(Row{int64_t{2}, 2.0, std::string("y")},
-                       nullptr).ok());
-  ASSERT_TRUE(
-      b.UpdateRow(0, Row{int64_t{9}, 9.0, std::string("z")}, nullptr).ok());
-  EXPECT_EQ(a.num_rows(), 1u);
-  EXPECT_EQ(a.GetInt(0, 0), 1);  // original untouched
-  EXPECT_EQ(b.num_rows(), 2u);
-  EXPECT_EQ(b.GetInt(0, 0), 9);
-}
-
-TEST(ColumnTableTest, TruncateToDropsTail) {
-  ColumnTable table(Mixed());
-  const size_t n = ColumnTable::kBlockRows + 100;
-  for (size_t i = 0; i < n; ++i) {
-    ASSERT_TRUE(table
-                    .Append(Row{static_cast<int64_t>(i),
-                                static_cast<double>(i), std::string("s")},
-                            nullptr)
-                    .ok());
-  }
-  table.TruncateTo(ColumnTable::kBlockRows / 2);
-  EXPECT_EQ(table.num_rows(), ColumnTable::kBlockRows / 2);
-  double mn;
-  double mx;
-  ASSERT_TRUE(table.BlockMinMax(0, 0, &mn, &mx));
-  EXPECT_DOUBLE_EQ(mn, 0.0);
-  EXPECT_DOUBLE_EQ(mx, static_cast<double>(ColumnTable::kBlockRows / 2 - 1));
-  // Truncating to a larger bound is a no-op.
-  table.TruncateTo(10000);
-  EXPECT_EQ(table.num_rows(), ColumnTable::kBlockRows / 2);
-}
-
 TEST(ColumnTableTest, MeterCountsCells) {
   ColumnTable table(Mixed());
   WorkMeter meter;
@@ -221,8 +183,9 @@ Row NewestInSnapshot(const ColumnTable& table, const ColumnDeltaSnapshot& snap,
 // AppendDeltaVersion materializes each increment over the row's newest
 // version through the per-rid index. A test-side mirror of the log finds
 // that version the old way — a reverse scan of the whole log, else the
-// base row — across interleaved inserts, updates, deltas, folds,
-// TruncateTo and CopyFrom; both must give the same rows, bit for bit.
+// base row — across interleaved inserts, updates, deltas, folds and
+// resets (Clear plus re-append of the loaded rows); both must give the
+// same rows, bit for bit.
 TEST(ColumnVersionLogTest, DeltaIndexMatchesReverseScan) {
   struct MirrorOp {
     uint64_t csn;
@@ -233,10 +196,10 @@ TEST(ColumnVersionLogTest, DeltaIndexMatchesReverseScan) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     Rng rng(seed);
     ColumnTable table(Numeric());
-    ColumnTable copy(Numeric());
+    std::vector<Row> loaded;
     for (int i = 0; i < 8; ++i) {
-      ASSERT_TRUE(table.Append(Row{int64_t{i}, 0.1 * i, std::string("b")},
-                               nullptr).ok());
+      loaded.push_back(Row{int64_t{i}, 0.1 * i, std::string("b")});
+      ASSERT_TRUE(table.Append(loaded.back(), nullptr).ok());
     }
     std::deque<MirrorOp> mirror;
     uint64_t csn = 1;
@@ -294,16 +257,13 @@ TEST(ColumnVersionLogTest, DeltaIndexMatchesReverseScan) {
         while (!mirror.empty() && mirror.front().csn <= horizon) {
           mirror.pop_front();
         }
-      } else if (op < 97) {
-        if (base <= 4) continue;
-        table.TruncateTo(base - static_cast<size_t>(rng.Uniform(0, 2)));
-        mirror.clear();
       } else {
-        // Round-trip through a copy: the destination's log is dropped.
-        table.FoldVersions(csn, nullptr);
-        copy.CopyFrom(table);
-        table.AppendDeltaVersion(++csn, 0, 1, Value(1.0));
-        table.CopyFrom(copy);
+        // Reset: the log is dropped with the base, and the loaded rows
+        // come back.
+        table.Clear();
+        for (const Row& row : loaded) {
+          ASSERT_TRUE(table.Append(row, nullptr).ok());
+        }
         mirror.clear();
       }
       ASSERT_EQ(table.PendingVersions(), mirror.size()) << "step " << step;
@@ -398,6 +358,97 @@ TEST(ColumnVersionLogTest, SnapshotRowsSurviveConcurrentCommits) {
   EXPECT_GT(passes, 0u);
   EXPECT_EQ(table.PendingVersions(),
             static_cast<size_t>(kBase / 2 + 16 + kCommits));
+}
+
+// A benchmark reset clears the table and re-appends the loaded rows in
+// load order. After eager merges (in-place updates and deltas that widen
+// zone maps and grow dictionaries) and bitmap folds, that must give a
+// table equal to a freshly loaded one, bit for bit: cells, dictionary
+// codes and their order, zone maps, and no leftover versions.
+TEST(ColumnTableTest, ClearAndReappendEqualsFreshLoad) {
+  Rng rng(17);
+  std::vector<Row> loaded;
+  const size_t n = 2 * ColumnTable::kBlockRows + 300;
+  for (size_t i = 0; i < n; ++i) {
+    loaded.push_back(Row{rng.Uniform(-1000, 1000), rng.NextDouble() * 100,
+                         std::string("s") + std::to_string(rng.Uniform(0, 40))});
+  }
+  ColumnTable fresh(Numeric());
+  ColumnTable table(Numeric());
+  for (const Row& row : loaded) {
+    ASSERT_TRUE(fresh.Append(row, nullptr).ok());
+    ASSERT_TRUE(table.Append(row, nullptr).ok());
+  }
+  for (int round = 0; round < 3; ++round) {
+    // Eager merges.
+    for (int i = 0; i < 200; ++i) {
+      const size_t rid = static_cast<size_t>(
+          rng.Uniform(0, static_cast<int64_t>(table.num_rows()) - 1));
+      switch (rng.Uniform(0, 2)) {
+        case 0:
+          ASSERT_TRUE(table.UpdateRow(rid,
+                                      Row{rng.Uniform(-1000000, 1000000), 1e9,
+                                          "new" + std::to_string(i)},
+                                      nullptr).ok());
+          break;
+        case 1:
+          ASSERT_TRUE(table.ApplyDelta(rid, 1, Value(1e12), nullptr).ok());
+          break;
+        default:
+          ASSERT_TRUE(table.Append(Row{int64_t{i}, 0.5, std::string("app")},
+                                   nullptr).ok());
+      }
+    }
+    // Bitmap versions, half of them folded.
+    uint64_t csn = 1;
+    size_t next_rid = table.num_rows();
+    for (int i = 0; i < 100; ++i) {
+      if (i % 2 == 0) {
+        table.AppendVersion(++csn, next_rid++,
+                            Row{int64_t{-i}, -1.0, std::string("ver")});
+        if (i == 50) table.FoldVersions(csn, nullptr);
+      } else {
+        table.AppendDeltaVersion(++csn, static_cast<size_t>(i), 1,
+                                 Value(-1e9));
+      }
+    }
+    ASSERT_GT(table.PendingVersions(), 0u);
+
+    table.Clear();
+    EXPECT_EQ(table.num_rows(), 0u);
+    EXPECT_EQ(table.PendingVersions(), 0u);
+    for (const Row& row : loaded) {
+      ASSERT_TRUE(table.Append(row, nullptr).ok());
+    }
+
+    ASSERT_EQ(table.num_rows(), fresh.num_rows());
+    EXPECT_EQ(table.PendingVersions(), 0u);
+    EXPECT_EQ(table.DictionarySize(2), fresh.DictionarySize(2));
+    for (uint32_t code = 0; code < fresh.DictionarySize(2); ++code) {
+      EXPECT_EQ(table.DictEntry(2, code), fresh.DictEntry(2, code));
+    }
+    EXPECT_EQ(std::memcmp(table.IntData(0), fresh.IntData(0),
+                          n * sizeof(int64_t)),
+              0);
+    EXPECT_EQ(std::memcmp(table.DoubleData(1), fresh.DoubleData(1),
+                          n * sizeof(double)),
+              0);
+    EXPECT_EQ(std::memcmp(table.CodeData(2), fresh.CodeData(2),
+                          n * sizeof(uint32_t)),
+              0);
+    for (size_t col = 0; col < 2; ++col) {
+      for (size_t block = 0; block < ColumnTable::NumBlocks(n); ++block) {
+        double got_min, got_max, want_min, want_max;
+        ASSERT_TRUE(table.BlockMinMax(col, block, &got_min, &got_max));
+        ASSERT_TRUE(fresh.BlockMinMax(col, block, &want_min, &want_max));
+        EXPECT_EQ(Bits(got_min), Bits(want_min)) << col << "/" << block;
+        EXPECT_EQ(Bits(got_max), Bits(want_max)) << col << "/" << block;
+      }
+    }
+    ColumnDeltaSnapshot snap;
+    table.SnapshotVersions(kMaxTs, &snap, nullptr);
+    EXPECT_TRUE(snap.Empty());
+  }
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 // Tests for the MVCC row store: version visibility, snapshot isolation of
-// reads, deletes, vacuum, copy semantics, the zero-copy heap scan
+// reads, deletes, vacuum, seal and rewind, the zero-copy heap scan
 // (differential against per-rid reads, plus a concurrent vacuum stress),
 // and fold memos (differential against a naive resolver, plus a
 // concurrent memo/vacuum stress).
 
 #include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -161,23 +162,6 @@ TEST(RowTableTest, VacuumDropsOnlyDeadVersions) {
   EXPECT_EQ(table.NumVersions(), 1u);
   ASSERT_TRUE(table.ReadLatest(rid, &out, nullptr));
   EXPECT_EQ(out[1].AsString(), "v3");
-}
-
-TEST(RowTableTest, CopyFromDeepCopies) {
-  RowTable table(TwoCol());
-  const Rid rid = table.Insert(MakeRow(1, "a"), 10, nullptr);
-  ASSERT_TRUE(table.AddVersion(rid, MakeRow(1, "b"), 20, nullptr).ok());
-
-  RowTable copy(TwoCol());
-  copy.CopyFrom(table);
-  EXPECT_EQ(copy.NumSlots(), 1u);
-  EXPECT_EQ(copy.NumVersions(), 2u);
-
-  // Mutating the copy does not affect the original.
-  ASSERT_TRUE(copy.AddVersion(0, MakeRow(1, "c"), 30, nullptr).ok());
-  Row out;
-  ASSERT_TRUE(table.ReadLatest(0, &out, nullptr));
-  EXPECT_EQ(out[1].AsString(), "b");
 }
 
 // Property: random interleavings of inserts/updates produce version
@@ -566,13 +550,15 @@ bool NaiveCanInstallDelta(const std::vector<NaiveNode>& chain,
   return true;
 }
 
-/// RowTable::Vacuum's unlink rule, applied to the model.
+/// RowTable::Vacuum's unlink rule, applied to the model of a sealed
+/// slot: its oldest node, the load version, always stays.
 void NaiveVacuum(std::vector<NaiveNode>* chain, Ts horizon) {
   std::vector<NaiveNode> kept;  // newest first
   bool superseded = false;
   for (auto it = chain->rbegin(); it != chain->rend(); ++it) {
+    const bool load_version = std::next(it) == chain->rend();
     if (it->status == mvcc::VersionStatus::kAborted ||
-        (superseded && Committed(*it))) {
+        (superseded && Committed(*it) && !load_version)) {
       continue;
     }
     if (it->status == mvcc::VersionStatus::kCommitted && it->cts <= horizon) {
@@ -591,6 +577,94 @@ double OrderSensitiveIncrement(Rng* rng) {
   return sign * scale[rng->Uniform(0, 5)] * (1.0 + rng->NextDouble());
 }
 
+// Seal marks the loaded slots; Rewind cuts every sealed chain back to
+// its load version, freeing the pending, aborted and delta nodes above it
+// (and the fold memos on them), and drops the slots appended since.
+// Vacuum at any horizon keeps the load versions, so every snapshot of the
+// rewound table reads, meters and validates like a fresh load.
+TEST(RowTableTest, SealRewindRestoresLoadState) {
+  constexpr int kLoaded = 4;
+  const auto load = [](RowTable* t) {
+    for (int i = 0; i < kLoaded; ++i) {
+      t->Insert(Row{int64_t{i}, 0.5 * i, int64_t{0}}, /*begin_ts=*/1,
+                nullptr);
+    }
+    t->Seal();
+  };
+  RowTable fresh(DeltaCols());
+  load(&fresh);
+  RowTable table(DeltaCols());
+  load(&table);
+  const int owner = 0;
+  const Ts snapshots[] = {0, 1, 2, 12, 20, 30, kMaxTs - 1, kMaxTs};
+  for (const Ts horizon : {Ts{0}, Ts{1}, Ts{12}, Ts{25}, kMaxTs - 1}) {
+    SCOPED_TRACE("horizon=" + std::to_string(horizon));
+    // Row 0: a run of deltas long enough that the read leaves a memo.
+    for (Ts cts = 2; cts < 2 + 2 * mvcc::kMemoMinDeltas; ++cts) {
+      ASSERT_TRUE(table.AddDeltaVersion(0, 1, Value(0.1 * cts), cts, nullptr)
+                      .ok());
+    }
+    Row row;
+    ASSERT_TRUE(table.ReadLatest(0, &row, nullptr));
+    // Row 1: overwritten, then deleted.
+    ASSERT_TRUE(table.AddVersion(1, Row{int64_t{1}, 9.0, int64_t{9}}, 20,
+                                 nullptr).ok());
+    ASSERT_TRUE(table.MarkDeleted(1, 21, nullptr).ok());
+    // Row 2: an aborted delta under a pending full version.
+    mvcc::VersionNode* aborted =
+        table.TryInstallDelta(2, 1, Value(1.0), &owner, nullptr);
+    ASSERT_NE(aborted, nullptr);
+    mvcc::Withdraw(aborted);
+    ASSERT_NE(table.TryInstallFull(2, Row{int64_t{2}, 7.0, int64_t{7}},
+                                   &owner, kMaxTs, nullptr),
+              nullptr);
+    // Row 3: a full version with a delta above it.
+    ASSERT_TRUE(table.AddVersion(3, Row{int64_t{3}, 3.0, int64_t{3}}, 22,
+                                 nullptr).ok());
+    ASSERT_TRUE(table.AddDeltaVersion(3, 2, Value(int64_t{5}), 23, nullptr)
+                    .ok());
+    // Two slots appended after the seal.
+    table.Insert(Row{int64_t{4}, 4.0, int64_t{4}}, 24, nullptr);
+    table.Insert(Row{int64_t{5}, 5.0, int64_t{5}}, 24, nullptr);
+
+    table.Vacuum(horizon);
+    for (Rid rid = 0; rid < kLoaded; ++rid) {
+      Row got;
+      Row want;
+      ASSERT_TRUE(table.Read(rid, 1, &got, nullptr)) << "rid " << rid;
+      ASSERT_TRUE(fresh.Read(rid, 1, &want, nullptr));
+      ExpectSameBits(got, want);
+    }
+
+    table.Rewind();
+    EXPECT_EQ(table.NumSlots(), static_cast<size_t>(kLoaded));
+    EXPECT_EQ(table.NumVersions(), table.NumSlots());
+    for (Rid rid = 0; rid < kLoaded + 2; ++rid) {
+      EXPECT_EQ(table.LatestVersionTs(rid), fresh.LatestVersionTs(rid));
+      EXPECT_EQ(table.ValidateRead(rid, 1, &owner),
+                fresh.ValidateRead(rid, 1, &owner));
+      for (const Ts snapshot : snapshots) {
+        Row got;
+        Row want;
+        WorkMeter got_meter;
+        WorkMeter want_meter;
+        const bool visible = table.Read(rid, snapshot, &got, &got_meter);
+        ASSERT_EQ(visible, fresh.Read(rid, snapshot, &want, &want_meter))
+            << "rid " << rid << " snapshot " << snapshot;
+        EXPECT_EQ(got_meter.version_hops, want_meter.version_hops);
+        EXPECT_EQ(got_meter.rows_read, want_meter.rows_read);
+        if (visible) ExpectSameBits(got, want);
+      }
+    }
+    WorkMeter got_scan;
+    WorkMeter want_scan;
+    table.Scan(kMaxTs - 1, [](Rid, const Row&) { return true; }, &got_scan);
+    fresh.Scan(kMaxTs - 1, [](Rid, const Row&) { return true; }, &want_scan);
+    EXPECT_EQ(got_scan.version_hops, want_scan.version_hops);
+    EXPECT_EQ(got_scan.rows_read, want_scan.rows_read);
+  }
+}
+
 class FoldMemoOracleTest : public ::testing::TestWithParam<int> {};
 
 // Random single-threaded histories over a few hot rows, each probe
@@ -598,14 +672,14 @@ class FoldMemoOracleTest : public ::testing::TestWithParam<int> {};
 // observations, and equal ValidateRead/TryInstall* outcomes. Histories
 // publish deltas out of install order, leave pending and aborted nodes
 // at and below the head, delete and resurrect rows, read below memos'
-// any_cts, vacuum between probes, and continue on CopyFrom copies.
+// any_cts, vacuum between probes (the table is sealed, so the load
+// versions stay), and rewind to the load state.
 TEST_P(FoldMemoOracleTest, MatchesNaiveResolver) {
   constexpr int kRows = 3;
   constexpr int kSteps = 1500;
   Rng rng(static_cast<uint64_t>(GetParam()));
-  std::vector<std::unique_ptr<RowTable>> tables;  // old copies stay alive
-  tables.push_back(std::make_unique<RowTable>(DeltaCols()));
-  RowTable* table = tables.back().get();
+  RowTable storage(DeltaCols());
+  RowTable* table = &storage;
   std::vector<std::vector<NaiveNode>> model(kRows);
   Ts clock = 1;
   for (int r = 0; r < kRows; ++r) {
@@ -614,6 +688,7 @@ TEST_P(FoldMemoOracleTest, MatchesNaiveResolver) {
     model[r].push_back(NaiveNode{mvcc::VersionStatus::kCommitted, clock,
                                  false, false, 0, row});
   }
+  table->Seal();
   // Distinct owner identities for pending writers.
   const int owners[4] = {};
   const auto owner_of = [&](int i) -> const void* { return &owners[i]; };
@@ -742,16 +817,10 @@ TEST_P(FoldMemoOracleTest, MatchesNaiveResolver) {
       table->Vacuum(horizon);
       for (std::vector<NaiveNode>& c : model) NaiveVacuum(&c, horizon);
     } else {
-      // Continue on a copy: pending and aborted nodes are dropped (their
-      // handles stay with the old table), memos are rebuilt.
-      tables.push_back(std::make_unique<RowTable>(DeltaCols()));
-      tables.back()->CopyFrom(*table);
-      table = tables.back().get();
-      for (std::vector<NaiveNode>& c : model) {
-        c.erase(std::remove_if(c.begin(), c.end(),
-                               [](const NaiveNode& n) { return !Committed(n); }),
-                c.end());
-      }
+      // Rewind: every chain is back to its load version; the pending
+      // nodes' handles die with their nodes, and memos go with theirs.
+      table->Rewind();
+      for (std::vector<NaiveNode>& c : model) c.resize(1);
     }
     size_t versions = 0;
     for (const std::vector<NaiveNode>& c : model) versions += c.size();

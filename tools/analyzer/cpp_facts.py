@@ -677,6 +677,7 @@ class _BodyWalker:
         self.pending_callback = None   # synthetic held for next block
         self.pending_deferred = False  # next block is a lambda body
         self.else_ordered_ready = False
+        self.for_closes = []  # ')' of the for headers being walked
 
     def walk(self, start, end):
         toks = self.toks
@@ -685,6 +686,14 @@ class _BodyWalker:
         while i < end:
             t = toks[i]
             text = t.text
+
+            if self.for_closes and i == self.for_closes[-1]:
+                # End of a for header: a structured binding's '[' in it
+                # introduced no lambda, so the loop body is not deferred.
+                self.for_closes.pop()
+                self.pending_deferred = False
+                i += 1
+                continue
 
             if text == "{":
                 sc = _Scope(ordered=self.next_block_ordered or
@@ -744,7 +753,11 @@ class _BodyWalker:
             if text == "for" and i + 1 < end and toks[i + 1].text == "(":
                 close = self.p._match_close(i + 1, "(", ")")
                 self._scan_range_for(i + 2, close, t.line)
-                i = close + 1
+                # Walk the header too: a protected read or a .begin() in
+                # a for-init, condition or increment counts like one in
+                # the body.
+                self.for_closes.append(close)
+                i += 2
                 continue
 
             if text == "switch" and i + 1 < end and toks[i + 1].text == "(":

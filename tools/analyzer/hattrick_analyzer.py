@@ -389,6 +389,10 @@ def lock_order_pass(program):
                     target = program.fn_by_qual.get(f"{cls}::{call.name}")
                     if target is not None:
                         return target
+                if t.replace("const", "").strip().startswith("std::"):
+                    # A standard-library receiver (`n->keys.size()`):
+                    # never a program method, whatever its name.
+                    return None
             # Receiver resolved to nothing useful; fall through to the
             # unique-name rule.
         cands = program.fn_by_short.get(call.name, [])
