@@ -12,14 +12,15 @@
 // bands and exits non-zero on a regression (the CI bench-smoke job gates
 // on the checked-in BENCH_smoke.json baseline).
 //
-// Flags (an unknown flag or an unparsable value exits with status 2):
+// Flags (an unknown flag, an unparsable value or a number outside its
+// range exits with status 2):
 //   --name      snapshot name                        (default "smoke")
 //   --out       output path                          (default BENCH_<name>.json)
 //   --sf        scale factor, > 0                    (default 1)
 //   --t, --a    profiled operating point             (default 4 / 2)
 //   --warmup, --measure  period lengths in virtual s (default 0.25 / 1)
 //   --seed      workload seed                        (default 7)
-//   --dop       intra-query parallelism              (default 1)
+//   --dop       intra-query parallelism, 1..64       (default 1)
 
 #include <cstdio>
 #include <fstream>
@@ -67,7 +68,7 @@ int Main(int argc, char** argv) {
       {"warmup", tools::FlagKind::kDouble},
       {"measure", tools::FlagKind::kDouble},
       {"seed", tools::FlagKind::kInt},
-      {"dop", tools::FlagKind::kInt},
+      {"dop", tools::FlagKind::kInt, 1, 64},
   });
   const double sf = flags.GetDouble("sf", 1.0);
   if (!flag_error.empty() || !(sf > 0)) {
@@ -85,7 +86,7 @@ int Main(int argc, char** argv) {
   base.warmup_seconds = flags.GetDouble("warmup", 0.25);
   base.measure_seconds = flags.GetDouble("measure", 1.0);
   base.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
-  base.dop = flags.GetBoundedInt("dop", 1, 1, 64);
+  base.dop = flags.GetInt("dop", 1);
 
   // One representative per design class (shared / isolated / hybrid).
   const SystemRecipe kSystems[] = {

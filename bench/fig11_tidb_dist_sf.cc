@@ -37,7 +37,7 @@ namespace {
 BenchEnv MakeDistEnv(double sf, uint32_t shards,
                      const FaultConfig& fault = {}) {
   return MakeEnv(EngineKind::kTidbDist, sf, PhysicalSchema::kSemiIndexes,
-                 fault, DefaultMergeMode(), shards);
+                 fault, MergeMode::kEager, shards);
 }
 
 /// Pure-T saturation throughput (the grid graph's XT) without building

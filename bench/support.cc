@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cstdio>
-
 #include <cstdlib>
 
 #include "engine/engine_factory.h"
@@ -51,21 +50,6 @@ bool ParseEngineKind(const std::string& name, EngineKind* kind) {
     return false;
   }
   return true;
-}
-
-uint32_t DefaultShards() {
-  const char* env = std::getenv("HATTRICK_SHARDS");
-  if (env == nullptr || *env == '\0') return 3;
-  char* end = nullptr;
-  const long value = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || value < 1) {
-    std::fprintf(stderr,
-                 "invalid HATTRICK_SHARDS '%s' (expected a positive "
-                 "integer)\n",
-                 env);
-    std::abort();
-  }
-  return static_cast<uint32_t>(value);
 }
 
 EngineKind EngineKindFromNameOrDie(const std::string& name) {

@@ -37,9 +37,9 @@ enum class EngineKind {
   kTidbDist,
 };
 
-/// HATTRICK_SHARDS environment override (strict positive integer; aborts
-/// loudly on junk), else 3 — the paper testbed's TiKV node count.
-uint32_t DefaultShards();
+/// Shard count of a tidb-dist deployment unless the caller names one: the
+/// paper testbed's TiKV node count.
+inline constexpr uint32_t kDefaultShards = 3;
 
 /// Returns the display name used in the output ("PostgreSQL", ...).
 const char* EngineKindName(EngineKind kind);
@@ -72,21 +72,19 @@ inline constexpr uint64_t kDatagenSeed = 42;
 /// Builds, loads, and wires up a system at `scale_factor`. `fault`
 /// (default: disabled) attaches replication-layer fault injection to the
 /// isolated engines (kPostgresSR / kPostgresSRRA); other kinds have no
-/// replication channel and ignore it. `merge_mode` (default: the
-/// HATTRICK_MERGE_MODE environment override, else eager) selects the
-/// hybrid engines' delta-visibility protocol; the shared and isolated
+/// replication channel and ignore it. `merge_mode` (default eager) selects
+/// the hybrid engines' delta-visibility protocol; the shared and isolated
 /// kinds have no column copy and ignore it. `shards` applies only to
 /// kTidbDist (other kinds are single-node and ignore it), where `fault`
 /// attaches to the per-shard replication chains instead.
 BenchEnv MakeEnv(EngineKind kind, double scale_factor,
                  PhysicalSchema physical, const FaultConfig& fault = {},
-                 MergeMode merge_mode = DefaultMergeMode(),
-                 uint32_t shards = DefaultShards());
+                 MergeMode merge_mode = MergeMode::kEager,
+                 uint32_t shards = kDefaultShards);
 
 /// Default measurement procedure for the figure benches. Execution mode
-/// follows the WorkloadConfig defaults: vectorized, with the batch width
-/// taken from HATTRICK_BATCH_ROWS when set (else 1024) — metered work is
-/// mode-independent, so figures are identical either way.
+/// follows the WorkloadConfig defaults: vectorized, 1024 rows per batch —
+/// metered work is mode-independent, so figures are identical either way.
 WorkloadConfig DefaultRunConfig();
 
 /// Default saturation-method options.

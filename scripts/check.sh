@@ -4,10 +4,9 @@
 # Legs (default: build, lint, tsan — the pre-push basics):
 #   build    regular RelWithDebInfo build + full ctest suite
 #   lint     hattrick-lint determinism/locking-hygiene checks (tools/lint)
-#   tsan     ThreadSanitizer build, thread-heavy tests (ctest -L tsan)
-#   merge-bitmap  full ctest suite + tsan-labeled tests with
-#            HATTRICK_MERGE_MODE=bitmap (the versioned-column-store
-#            protocol; reuses the build/build-tsan trees)
+#   tsan     ThreadSanitizer build, thread-heavy tests (ctest -L tsan).
+#            The suites run every hybrid-engine case under both merge
+#            modes themselves, so no leg re-runs them under another mode
 #   asan     AddressSanitizer (+LSan) build, full ctest suite
 #   ubsan    UndefinedBehaviorSanitizer build, full ctest suite
 #   analyze  Clang -Wthread-safety -Werror build (HATTRICK_ANALYZE=ON);
@@ -23,12 +22,7 @@
 #            checked-in bench/BENCH_smoke.json via
 #            scripts/bench_compare.py (perf-regression gate)
 #   contention-smoke  randomized commit-storm suite (commit_storm_test)
-#            under ThreadSanitizer in both merge modes (default and
-#            HATTRICK_MERGE_MODE=bitmap)
-#   shard-smoke  full ctest suite with HATTRICK_SHARDS=4 (every
-#            tidb-dist construction goes through the 4-shard engine),
-#            plus the cross-shard 2PC storm (shard_test) under
-#            ThreadSanitizer
+#            under ThreadSanitizer
 #   wallbench-build  compile-only: configures wallbench/ (the wall-clock
 #            benchmark harness) into build-wallbench and builds it, so a
 #            src/ API change that breaks the harness fails here; the
@@ -49,8 +43,6 @@
 #   scripts/check.sh                  # build + lint + tsan
 #   scripts/check.sh --all            # every leg (CI parity)
 #   scripts/check.sh --asan --ubsan   # just the named legs
-#   scripts/check.sh --merge-bitmap   # bitmap merge-mode leg only
-#   scripts/check.sh --shard-smoke    # sharded scale-out leg only
 #   scripts/check.sh --wallbench-build  # build the wallbench harness only
 #   scripts/check.sh --figures        # figure digests, nightly CI leg
 #   scripts/check.sh --tidy           # just clang-tidy
@@ -63,8 +55,8 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 SUPP_DIR="$PWD/scripts/sanitizers"
 
 RUN_BUILD=0 RUN_LINT=0 RUN_TSAN=0 RUN_ASAN=0 RUN_UBSAN=0
-RUN_ANALYZE=0 RUN_ANALYZE_AST=0 RUN_TIDY=0 RUN_MERGE_BITMAP=0
-RUN_BENCH_SMOKE=0 RUN_CONTENTION_SMOKE=0 RUN_SHARD_SMOKE=0
+RUN_ANALYZE=0 RUN_ANALYZE_AST=0 RUN_TIDY=0
+RUN_BENCH_SMOKE=0 RUN_CONTENTION_SMOKE=0
 RUN_WALLBENCH_BUILD=0 RUN_FIGURES=0
 if [[ $# -eq 0 ]]; then
   RUN_BUILD=1 RUN_LINT=1 RUN_TSAN=1
@@ -72,30 +64,28 @@ fi
 for arg in "$@"; do
   case "$arg" in
     --all) RUN_BUILD=1 RUN_LINT=1 RUN_TSAN=1 RUN_ASAN=1 RUN_UBSAN=1
-           RUN_ANALYZE=1 RUN_ANALYZE_AST=1 RUN_TIDY=1 RUN_MERGE_BITMAP=1
-           RUN_BENCH_SMOKE=1 RUN_CONTENTION_SMOKE=1 RUN_SHARD_SMOKE=1
+           RUN_ANALYZE=1 RUN_ANALYZE_AST=1 RUN_TIDY=1
+           RUN_BENCH_SMOKE=1 RUN_CONTENTION_SMOKE=1
            RUN_WALLBENCH_BUILD=1 ;;
     --build) RUN_BUILD=1 ;;
     --lint) RUN_LINT=1 ;;
     --tsan) RUN_TSAN=1 ;;
     --asan) RUN_ASAN=1 ;;
     --ubsan) RUN_UBSAN=1 ;;
-    --merge-bitmap) RUN_MERGE_BITMAP=1 ;;
     --analyze) RUN_ANALYZE=1 ;;
     --analyze-ast) RUN_ANALYZE_AST=1 ;;
     --tidy) RUN_TIDY=1 ;;
     --bench-smoke) RUN_BENCH_SMOKE=1 ;;
     --contention-smoke) RUN_CONTENTION_SMOKE=1 ;;
-    --shard-smoke) RUN_SHARD_SMOKE=1 ;;
     --wallbench-build) RUN_WALLBENCH_BUILD=1 ;;
     --figures) RUN_FIGURES=1 ;;
     # Back-compat spellings used by older CI jobs and muscle memory.
     --tsan-only) RUN_TSAN=1 ;;
     --no-tsan) RUN_BUILD=1 RUN_LINT=1 ;;
     *) echo "usage: $0 [--all] [--build] [--lint] [--tsan] [--asan]" \
-            "[--ubsan] [--merge-bitmap] [--analyze] [--analyze-ast]" \
+            "[--ubsan] [--analyze] [--analyze-ast]" \
             "[--tidy] [--bench-smoke] [--contention-smoke]" \
-            "[--shard-smoke] [--wallbench-build] [--figures]" \
+            "[--wallbench-build] [--figures]" \
             "[--tsan-only]" \
             "[--no-tsan]" >&2
        exit 2 ;;
@@ -136,58 +126,14 @@ if [[ "$RUN_TSAN" == 1 ]]; then
       ctest -L tsan --output-on-failure -j 2)
 fi
 
-if [[ "$RUN_MERGE_BITMAP" == 1 ]]; then
-  echo "== build (merge-mode=bitmap leg) =="
-  cmake -B build -S . >/dev/null
-  cmake --build build -j "$JOBS"
-  echo "== ctest (all, HATTRICK_MERGE_MODE=bitmap) =="
-  (cd build && HATTRICK_MERGE_MODE=bitmap ctest --output-on-failure -j "$JOBS")
-  echo "== build (ThreadSanitizer, merge-mode=bitmap) =="
-  cmake -B build-tsan -S . -DHATTRICK_SANITIZE=thread >/dev/null
-  cmake --build build-tsan -j "$JOBS"
-  echo "== ctest -L tsan (HATTRICK_MERGE_MODE=bitmap) =="
-  (cd build-tsan && HATTRICK_MERGE_MODE=bitmap \
-      TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
-      ctest -L tsan --output-on-failure -j 2)
-fi
-
 if [[ "$RUN_CONTENTION_SMOKE" == 1 ]]; then
   echo "== build (ThreadSanitizer, contention-smoke) =="
   cmake -B build-tsan -S . -DHATTRICK_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "$JOBS" --target commit_storm_test
-  # The storm suite hammers a hot key set from many threads; run it under
-  # TSan in both hybrid-merge modes (the bitmap path appends delta
-  # versions from the commit tail).
-  for mode in merge-eager merge-bitmap; do
-    echo "== commit_storm_test (tsan, ${mode}) =="
-    case "$mode" in
-      merge-eager) ENV_VARS=() ;;
-      merge-bitmap) ENV_VARS=(HATTRICK_MERGE_MODE=bitmap) ;;
-    esac
-    (cd build-tsan && \
-        env "${ENV_VARS[@]}" \
-            TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
-            ctest -R '^commit_storm_test$' --output-on-failure)
-  done
-fi
-
-if [[ "$RUN_SHARD_SMOKE" == 1 ]]; then
-  echo "== build (shard-smoke) =="
-  cmake -B build -S . >/dev/null
-  cmake --build build -j "$JOBS"
-  # Re-run the whole suite with a 4-shard default so every tidb-dist
-  # construction routes through ShardRouter + 2PC instead of the
-  # single-node engine, then hammer the cross-shard commit path
-  # (2PC storm + crash matrix in shard_test) under TSan.
-  echo "== ctest (all, HATTRICK_SHARDS=4) =="
-  (cd build && HATTRICK_SHARDS=4 ctest --output-on-failure -j "$JOBS")
-  echo "== build (ThreadSanitizer, shard-smoke) =="
-  cmake -B build-tsan -S . -DHATTRICK_SANITIZE=thread >/dev/null
-  cmake --build build-tsan -j "$JOBS" --target shard_test
-  echo "== shard_test (tsan, HATTRICK_SHARDS=4) =="
-  (cd build-tsan && HATTRICK_SHARDS=4 \
-      TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
-      ctest -R '^shard_test$' --output-on-failure)
+  # The storm suite hammers a hot key set from many threads.
+  echo "== commit_storm_test (tsan) =="
+  (cd build-tsan && TSAN_OPTIONS="halt_on_error=1 second_deadlock_stack=1" \
+      ctest -R '^commit_storm_test$' --output-on-failure)
 fi
 
 if [[ "$RUN_BENCH_SMOKE" == 1 ]]; then

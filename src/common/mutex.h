@@ -30,10 +30,10 @@ namespace hattrick {
 ///     cv_.Wait(&mutex_);
 ///
 /// Lock-order discipline: a function that must hold two peer locks at
-/// once (BTree::CopyFrom between two trees, the one such site in src/)
-/// acquires them in address order via explicit Lock()/Unlock()
-/// calls — the analysis checks the hold set, the address order prevents
-/// the inversion.
+/// once (no such site is left in src/) acquires them in address order
+/// via explicit Lock()/Unlock() calls — the analysis checks the hold
+/// set, the address order prevents the inversion, and hattrick-analyzer
+/// recognizes the idiom.
 
 /// Annotated std::mutex.
 class CAPABILITY("mutex") Mutex {

@@ -23,13 +23,6 @@ namespace hattrick {
 ///    still 0: the snapshot CSN is the newest committed timestamp).
 enum class MergeMode { kEager, kBitmap };
 
-/// Process-wide default merge mode: the HATTRICK_MERGE_MODE environment
-/// variable ("eager" | "bitmap", default eager), read once and cached so
-/// a full test binary runs uniformly under either mode. Any other value
-/// is rejected with a one-line error and an abort — a typo must not
-/// silently benchmark the wrong protocol.
-MergeMode DefaultMergeMode();
-
 /// Every engine retries a transaction aborted by validation up to this
 /// many times; only the final success counts toward throughput.
 inline constexpr int kMaxTxnRetries = 50;
@@ -65,7 +58,7 @@ struct HybridEngineConfig {
   /// System-X uses optimistic MVCC at serializable (Section 6.4); TiDB's
   /// default is snapshot-isolated repeatable read (Section 6.5).
   IsolationLevel isolation = IsolationLevel::kSerializable;
-  MergeMode merge_mode = DefaultMergeMode();
+  MergeMode merge_mode = MergeMode::kEager;
   /// Bitmap mode: background fold triggers once the committed-but-
   /// unfolded version count (across all tables) reaches this depth.
   /// Below it, versions stay in the log and sessions pay only the

@@ -86,7 +86,6 @@ struct TxnOutcome {
 /// 6.4-6.5), charging that work to the requesting query.
 struct AnalyticsSession {
   std::unique_ptr<DataSource> source;
-  Ts snapshot = 0;
   /// Optional RAII guard the engine uses to pin its analytical state for
   /// the life of the session (e.g. the hybrid engine holds a pin so a
   /// concurrent delta merge cannot move data under a running query in

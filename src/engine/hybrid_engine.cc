@@ -1,33 +1,10 @@
 #include "engine/hybrid_engine.h"
 
 #include <cassert>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "engine/shared_engine.h"
 
 namespace hattrick {
-
-MergeMode DefaultMergeMode() {
-  static const MergeMode mode = [] {
-    const char* env = std::getenv("HATTRICK_MERGE_MODE");
-    if (env == nullptr || env[0] == '\0' ||
-        std::strcmp(env, "eager") == 0) {
-      return MergeMode::kEager;
-    }
-    if (std::strcmp(env, "bitmap") == 0) {
-      return MergeMode::kBitmap;
-    }
-    // A typo must not silently benchmark the wrong merge protocol.
-    std::fprintf(stderr,
-                 "HATTRICK_MERGE_MODE: unknown mode '%s' "
-                 "(expected 'eager' or 'bitmap')\n",
-                 env);
-    std::abort();
-  }();
-  return mode;
-}
 
 HybridEngineConfig SystemXConfig() {
   HybridEngineConfig config;
@@ -183,11 +160,11 @@ AnalyticsSession HybridEngine::BeginAnalytics(WorkMeter* meter) {
     // state at the CSN, never half-folded. (Snapshotting before
     // pinning would race a fold whose horizon passed the CSN.)
     session.guard = merge_latch_.AcquirePin();
-    session.snapshot = last_committed();
+    const Ts snapshot = last_committed();
     auto source = std::make_unique<ColumnDataSource>();
     for (size_t id = 0; id < columns_.size(); ++id) {
       auto delta = std::make_shared<ColumnDeltaSnapshot>();
-      columns_[id]->SnapshotVersions(session.snapshot, delta.get(), meter);
+      columns_[id]->SnapshotVersions(snapshot, delta.get(), meter);
       const size_t bound = delta->bound;
       // An empty snapshot degrades to the plain merged-base scan.
       source->AddTable(catalog.table_name(static_cast<TableId>(id)),
@@ -201,7 +178,6 @@ AnalyticsSession HybridEngine::BeginAnalytics(WorkMeter* meter) {
   // the zero-freshness design of System-X and TiDB (Sections 6.4, 6.5).
   MergeDelta(meter);
   AnalyticsSession session;
-  session.snapshot = last_committed();
   std::shared_ptr<void> guard = merge_latch_.AcquirePin();
   auto source = std::make_unique<ColumnDataSource>();
   for (size_t id = 0; id < columns_.size(); ++id) {

@@ -73,9 +73,8 @@ AnalyticsSession IsolatedEngine::BeginAnalytics(WorkMeter* meter) {
   const size_t index = next_session_.fetch_add(1) % standbys_.size();
   const StandbyChain& standby = standbys_.chain(index);
   AnalyticsSession session;
-  session.snapshot = standby.replica->Snapshot();
-  session.source = std::make_unique<RowDataSource>(standby.catalog.get(),
-                                                   session.snapshot);
+  session.source = std::make_unique<RowDataSource>(
+      standby.catalog.get(), standby.replica->Snapshot());
   return session;
 }
 

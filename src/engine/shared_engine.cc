@@ -86,9 +86,8 @@ TxnOutcome SharedEngine::ExecuteTransaction(const TxnBody& body,
 AnalyticsSession SharedEngine::BeginAnalytics(WorkMeter* meter) {
   (void)meter;  // no maintenance needed: single up-to-date copy
   AnalyticsSession session;
-  session.snapshot = oracle_.last_committed();
   session.source =
-      std::make_unique<RowDataSource>(&catalog_, session.snapshot);
+      std::make_unique<RowDataSource>(&catalog_, oracle_.last_committed());
   return session;
 }
 

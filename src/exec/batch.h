@@ -16,19 +16,6 @@ namespace hattrick {
 /// pruning boundary. Overridable per query via ExecContext::batch_rows.
 inline constexpr size_t kDefaultBatchRows = 1024;
 
-/// Process-wide default for ExecContext::batch_rows: kDefaultBatchRows
-/// unless the HATTRICK_BATCH_ROWS environment variable overrides it (see
-/// BatchRowsFromEnv). The env override exists so the whole test suite can
-/// run with degenerate batches (CI's --batch-size=1 leg) without touching
-/// every ExecContext construction site.
-size_t DefaultBatchRows();
-
-/// The batch width a HATTRICK_BATCH_ROWS value asks for: kDefaultBatchRows
-/// when `value` is null or empty, else `value` as a whole decimal number
-/// >= 1. Anything else (junk, trailing characters, < 1, overflow) prints a
-/// one-line error and aborts, like HATTRICK_MERGE_MODE and HATTRICK_SHARDS.
-size_t BatchRowsFromEnv(const char* value);
-
 /// A typed column of values — one column of a Batch. Exactly one of the
 /// payload vectors is populated, per `type`. Vectors are flat typed
 /// storage, so expression kernels run tight loops over them instead of

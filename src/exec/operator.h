@@ -41,10 +41,9 @@ struct ExecContext {
   /// bit-identical between the modes (tests/exec_test.cc enforces it).
   bool vectorized = true;
 
-  /// Target rows per column-vector batch (>= 1). Defaults to
-  /// kDefaultBatchRows unless the HATTRICK_BATCH_ROWS env override is set
-  /// (the CI degenerate-batch leg). Ignored when !vectorized.
-  size_t batch_rows = DefaultBatchRows();
+  /// Target rows per column-vector batch (>= 1). Ignored when
+  /// !vectorized.
+  size_t batch_rows = kDefaultBatchRows;
 
   /// Engine session pin (AnalyticsSession::guard). Worker threads hold a
   /// copy for their whole lifetime so the engine cannot move data (delta

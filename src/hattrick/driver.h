@@ -38,7 +38,7 @@ struct WorkloadConfig {
   /// metered work are bit-identical; the knob exists for differential
   /// testing and benchmarking.
   bool vectorized = true;
-  /// Rows per column-vector batch; 0 (default) means DefaultBatchRows().
+  /// Rows per column-vector batch; 0 (default) means kDefaultBatchRows.
   int batch_rows = 0;
   /// EXPLAIN ANALYZE profiling of every analytical query: each execution
   /// runs with an ExecContext::profile attached and the per-query trees

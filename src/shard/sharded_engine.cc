@@ -794,7 +794,6 @@ AnalyticsSession ShardedEngine::BeginAnalytics(WorkMeter* meter) {
     guards->pins.push_back(inner.guard);
   }
   AnalyticsSession session;
-  session.snapshot = sessions[0].snapshot;
   session.source = std::make_unique<ShardedDataSource>(
       std::move(sessions), router_.get(),
       shards_[0].engine->primary_catalog(), config_.fact_table);

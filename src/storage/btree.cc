@@ -96,23 +96,6 @@ void BTree::Insert(const std::string& key, uint64_t value, WorkMeter* meter) {
   InsertIntoLeaf(leaf, key, value, meter);
 }
 
-Status BTree::InsertUnique(const std::string& key, uint64_t value,
-                           WorkMeter* meter) {
-  SharedMutexLock lock(&latch_);
-  Node* leaf = FindLeafForScan(root_, key, CacheWeight(size_), meter);
-  // Check the leaf (and, for boundary cases, the next leaf) for the key.
-  for (Node* n = leaf; n != nullptr; n = n->next) {
-    const auto it = std::lower_bound(n->keys.begin(), n->keys.end(), key);
-    if (it != n->keys.end()) {
-      if (*it == key) return Status::AlreadyExists("duplicate key");
-      break;  // first entry >= key differs from key => absent
-    }
-    // Leaf exhausted without reaching a key >= target; continue right.
-  }
-  InsertIntoLeaf(FindLeaf(key, nullptr), key, value, meter);
-  return Status::OK();
-}
-
 void BTree::InsertIntoLeaf(Node* leaf, const std::string& key, uint64_t value,
                            WorkMeter* meter) {
   const auto it = std::upper_bound(leaf->keys.begin(), leaf->keys.end(), key);
@@ -245,50 +228,6 @@ size_t BTree::size() const {
 size_t BTree::height() const {
   SharedReaderLock lock(&latch_);
   return height_;
-}
-
-BTree::Node* BTree::CloneSubtree(const Node* node, Node** prev_leaf) {
-  Node* copy = new Node();
-  copy->leaf = node->leaf;
-  copy->keys = node->keys;
-  if (node->leaf) {
-    copy->values = node->values;
-    if (*prev_leaf != nullptr) (*prev_leaf)->next = copy;
-    *prev_leaf = copy;
-  } else {
-    copy->children.reserve(node->children.size());
-    for (const Node* child : node->children) {
-      Node* child_copy = CloneSubtree(child, prev_leaf);
-      child_copy->parent = copy;
-      copy->children.push_back(child_copy);
-    }
-  }
-  return copy;
-}
-
-void BTree::CopyFrom(const BTree& other) {
-  if (this == &other) return;
-  // Address-ordered acquisition, mirroring {Row,Column}Table::CopyFrom:
-  // catalog resets copy trees in both directions between the same pair
-  // (load snapshotting vs benchmark reset), so the previous fixed
-  // this-then-other order was a latent lock-order inversion — two
-  // threads copying opposite directions could deadlock. Explicit
-  // Lock/Unlock because a scoped lock cannot express the conditional
-  // order; the analysis still checks the hold set on every path.
-  if (this < &other) {
-    latch_.Lock();
-    other.latch_.LockShared();
-  } else {
-    other.latch_.LockShared();
-    latch_.Lock();
-  }
-  DeleteSubtree(root_);
-  Node* prev_leaf = nullptr;
-  root_ = CloneSubtree(other.root_, &prev_leaf);
-  size_ = other.size_;
-  height_ = other.height_;
-  other.latch_.UnlockShared();
-  latch_.Unlock();
 }
 
 void BTree::Clear() {

@@ -9,7 +9,6 @@
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
-#include "common/status.h"
 #include "common/work_meter.h"
 #include "obs/metrics.h"
 
@@ -51,10 +50,6 @@ class BTree {
   /// order by scans.
   void Insert(const std::string& key, uint64_t value, WorkMeter* meter);
 
-  /// Inserts only if `key` is absent; returns AlreadyExists otherwise.
-  Status InsertUnique(const std::string& key, uint64_t value,
-                      WorkMeter* meter);
-
   /// Removes one entry with exactly `key`; returns true if found.
   bool Remove(const std::string& key, WorkMeter* meter);
 
@@ -78,9 +73,6 @@ class BTree {
   /// Height of the tree (1 for a single leaf).
   size_t height() const;
 
-  /// Replaces the contents of this tree with a copy of `other`.
-  void CopyFrom(const BTree& other);
-
   /// Removes all entries.
   void Clear();
 
@@ -101,7 +93,6 @@ class BTree {
   void InsertIntoParent(Node* node, std::string separator, Node* sibling)
       REQUIRES(latch_);
   static void DeleteSubtree(Node* node);
-  static Node* CloneSubtree(const Node* node, Node** prev_leaf);
 
   const size_t leaf_capacity_;
   const size_t internal_capacity_;

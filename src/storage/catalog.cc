@@ -79,12 +79,6 @@ std::vector<IndexInfo*> Catalog::AllIndexes() const {
   return out;
 }
 
-void Catalog::DropAllIndexes() {
-  indexes_.clear();
-  indexes_by_name_.clear();
-  for (auto& list : indexes_by_table_) list.clear();
-}
-
 size_t Catalog::VacuumAll(Ts horizon) {
   size_t dropped = 0;
   for (const auto& table : tables_) dropped += table->Vacuum(horizon);

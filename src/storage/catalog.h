@@ -65,10 +65,6 @@ class Catalog {
   size_t num_tables() const { return tables_.size(); }
   const std::string& table_name(TableId id) const { return names_[id]; }
 
-  /// Drops all indexes (used by the physical-schema experiments to switch
-  /// between no/semi/all index configurations).
-  void DropAllIndexes();
-
   /// Vacuums every table at `horizon` (see RowTable::Vacuum); returns
   /// total versions dropped.
   size_t VacuumAll(Ts horizon);

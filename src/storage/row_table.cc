@@ -11,9 +11,8 @@ using mvcc::VersionChain;
 using mvcc::VersionNode;
 using mvcc::VersionStatus;
 
-VersionNode* NewCommittedFull(const Row& row, Ts cts, bool tombstone) {
+VersionNode* NewCommittedFull(const Row& row, Ts cts) {
   auto* node = new VersionNode();
-  node->tombstone = tombstone;
   node->payload = row;
   mvcc::Publish(node, cts);
   return node;
@@ -46,7 +45,7 @@ Rid RowTable::Insert(const Row& row, Ts begin_ts, WorkMeter* meter) {
   const Rid rid = slots_.size();
   slots_.emplace_back();
   slots_.back().length.store(1, std::memory_order_relaxed);
-  slots_.back().head.store(NewCommittedFull(row, begin_ts, false),
+  slots_.back().head.store(NewCommittedFull(row, begin_ts),
                            std::memory_order_release);
   if (meter != nullptr) ++meter->rows_written;
   return rid;
@@ -56,7 +55,7 @@ Status RowTable::AddVersion(Rid rid, const Row& row, Ts commit_ts,
                             WorkMeter* meter) {
   SharedReaderLock lock(&latch_);
   if (rid >= slots_.size()) return Status::NotFound("rid out of range");
-  mvcc::PushHead(&slots_[rid], NewCommittedFull(row, commit_ts, false));
+  mvcc::PushHead(&slots_[rid], NewCommittedFull(row, commit_ts));
   if (meter != nullptr) ++meter->rows_written;
   return Status::OK();
 }
@@ -68,14 +67,6 @@ Status RowTable::AddDeltaVersion(Rid rid, uint32_t column,
   if (rid >= slots_.size()) return Status::NotFound("rid out of range");
   mvcc::PushHead(&slots_[rid], NewCommittedDelta(column, increment,
                                                  commit_ts));
-  if (meter != nullptr) ++meter->rows_written;
-  return Status::OK();
-}
-
-Status RowTable::MarkDeleted(Rid rid, Ts commit_ts, WorkMeter* meter) {
-  SharedReaderLock lock(&latch_);
-  if (rid >= slots_.size()) return Status::NotFound("rid out of range");
-  mvcc::PushHead(&slots_[rid], NewCommittedFull(Row{}, commit_ts, true));
   if (meter != nullptr) ++meter->rows_written;
   return Status::OK();
 }

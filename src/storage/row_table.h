@@ -76,10 +76,6 @@ class RowTable {
   Status AddDeltaVersion(Rid rid, uint32_t column, const Value& increment,
                          Ts commit_ts, WorkMeter* meter);
 
-  /// Terminates visibility at `commit_ts` (logical delete): installs a
-  /// committed tombstone version.
-  Status MarkDeleted(Rid rid, Ts commit_ts, WorkMeter* meter);
-
   /// Installs a PENDING full after-image of `rid` for `owner`, validating
   /// first-updater-wins against `base_ts` (the newest committed work the
   /// writer's read folded in): fails — returning nullptr and metering a
@@ -106,7 +102,7 @@ class RowTable {
   bool ValidateRead(Rid rid, Ts observed_full_cts, const void* owner) const;
 
   /// Reads the version of `rid` visible at `snapshot`. Returns false if no
-  /// visible version exists (row created later, or deleted).
+  /// visible version exists (row created later).
   bool Read(Rid rid, Ts snapshot, Row* out, WorkMeter* meter) const;
 
   /// Like Read, also reporting what the fold observed (feeds write-write
@@ -115,7 +111,7 @@ class RowTable {
                     mvcc::FoldObservation* obs, WorkMeter* meter) const;
 
   /// Reads the newest committed version regardless of snapshot (used for
-  /// read-committed isolation). Returns false if the row is deleted.
+  /// read-committed isolation). Returns false if no version is committed.
   bool ReadLatest(Rid rid, Row* out, WorkMeter* meter) const;
 
   /// Like ReadLatest, also reporting what the fold observed.

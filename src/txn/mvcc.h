@@ -44,7 +44,7 @@ inline constexpr Ts kMaxTs = std::numeric_limits<Ts>::max();
 namespace mvcc {
 
 /// Version lifecycle. A node is installed PENDING, becomes visible when
-/// its writer flips it to COMMITTED (full after-image or tombstone) or
+/// its writer flips it to COMMITTED (full after-image) or
 /// COMMITTED_DELTA (single-cell increment), or is withdrawn as ABORTED.
 /// ABORTED nodes stay linked until Vacuum unlinks them — readers skip
 /// them, preserving the dead-tuple bloat the scan meter models.
@@ -63,7 +63,7 @@ inline constexpr size_t kMemoMinDeltas = 8;
 /// that folded it. It stands for the "clean suffix" from X down to the
 /// row's first full version F below X: every node in it was committed
 /// with cts <= the builder's snapshot when the memo was built, only F is
-/// a full version, and F is not a tombstone.
+/// a full version.
 ///
 /// Validity. A suffix's nodes are immutable (a committed status is
 /// final, installs only touch the head), so the memo never goes stale.
@@ -125,8 +125,6 @@ struct VersionNode {
   /// Identity of the installing transaction; valid while kPending. Used
   /// to distinguish a transaction's own pending nodes from foreign ones.
   const void* owner = nullptr;
-  /// Logical delete: a committed tombstone ends visibility at `cts`.
-  bool tombstone = false;
   /// True for delta (increment) versions; `payload` then holds a single
   /// increment cell targeting `delta_column`.
   bool is_delta = false;
@@ -182,7 +180,7 @@ struct VersionChain {
 };
 
 /// Unconditionally links `node` above the current head (pre-ordered
-/// installs: loads, replica replay, committed tombstones).
+/// installs: loads, replica replay).
 inline void PushHead(VersionChain* chain, VersionNode* node) {
   VersionNode* cur = chain->head.load(std::memory_order_acquire);
   do {
@@ -327,11 +325,11 @@ inline Ts ApplyDeltas(Row* row, const VersionNode* const* begin,
 /// Copy-free when it can be: if the visible version is a committed full
 /// version (or a memo) with no deltas above it, returns that payload in
 /// place; otherwise folds into `*scratch` and returns `scratch`. Returns
-/// nullptr if no version is visible (row created later, or tombstoned as
-/// of the snapshot). A returned payload is immutable (published nodes
-/// and memos never change) but lives only as long as its node: it is
-/// valid while the table latch the chain load was made under is held,
-/// since Vacuum frees unlinked nodes under the exclusive latch.
+/// nullptr if no version is visible (the row was created after the
+/// snapshot). A returned payload is immutable (published nodes and memos
+/// never change) but lives only as long as its node: it is valid while
+/// the table latch the chain load was made under is held, since Vacuum
+/// frees unlinked nodes under the exclusive latch.
 ///
 /// Meters one version_hop per node a full walk would visit, matching the
 /// newest-to-oldest walk of the previous vector-based chains.
@@ -381,9 +379,6 @@ inline const Row* ResolveVisible(const VersionNode* head, Ts snapshot,
   }
   if (base_memo != nullptr) hops += base_memo->hops - 1;
   if (meter != nullptr) meter->version_hops += hops;
-  if (base_memo == nullptr && node->tombstone) {
-    return nullptr;  // deleted as of snapshot
-  }
   if (meter != nullptr) ++meter->rows_read;
   const Row& base = base_memo != nullptr ? base_memo->row : node->payload;
   const Ts full_cts = base_memo != nullptr

@@ -22,7 +22,7 @@ class OrderedState {
   }
 
   // Address-ordered acquisition of the same lock field on two objects
-  // (the BTree::CopyFrom idiom): the self-pair is exempt because both
+  // (the peer-pair copy idiom): the self-pair is exempt because both
   // acquisitions sit inside the ordering conditional.
   void CopyFrom(const OrderedState& other) {
     if (this < &other) {

@@ -5,9 +5,9 @@ Same shape as lint_test.py: one positive and one negative fixture per
 pass under tests/analyzer_fixtures/ (fixtures mirror repo paths because
 the pin and determinism passes are path-scoped, resolved against
 --repo-root), plus CLI behavior, lint:allow suppression, the whole-tree
-clean run, and the BTree::CopyFrom self-test from the PR's acceptance
-criteria: stripping the address-ordering conditional out of the real
-btree.cc must make the lock-order pass report the cycle with witness
+clean run, and the address-order self-test: stripping the
+address-ordering conditional out of a copy of the lock_cycle_ok.cc
+fixture must make the lock-order pass report the cycle with witness
 paths.
 """
 
@@ -178,53 +178,44 @@ class SuppressionTest(unittest.TestCase):
 
 
 class CopyFromSelfTest(unittest.TestCase):
-    """The acceptance-criteria self-test (DESIGN.md §8): deleting the
-    address ordering in the real BTree::CopyFrom must surface the
-    self-cycle on BTree::latch_ with witness paths."""
+    """The address-order self-test (DESIGN.md §8): deleting the address
+    ordering from the peer-pair CopyFrom in a temporary copy of the
+    lock_cycle_ok.cc fixture must surface the self-cycle on its latch_
+    with witness paths. No two-object latch site is left in src/, so the
+    fixture carries the idiom."""
 
-    ORDERED = """  if (this < &other) {
-    latch_.Lock();
-    other.latch_.LockShared();
-  } else {
-    other.latch_.LockShared();
-    latch_.Lock();
-  }
+    FIXTURE = "src/storage/lock_cycle_ok.cc"
+    ORDERED = """    if (this < &other) {
+      latch_.Lock();
+      other.latch_.LockShared();
+    } else {
+      other.latch_.LockShared();
+      latch_.Lock();
+    }
 """
-    BROKEN = """  latch_.Lock();
-  other.latch_.LockShared();
+    BROKEN = """    latch_.Lock();
+    other.latch_.LockShared();
 """
 
     def test_stripping_address_order_reports_cycle(self):
-        with open(os.path.join(REPO_ROOT, "src/storage/btree.cc")) as f:
+        with open(os.path.join(FIXTURES, self.FIXTURE)) as f:
             src = f.read()
         self.assertIn(self.ORDERED, src,
-                      "btree.cc no longer matches the self-test template; "
-                      "update CopyFromSelfTest alongside it")
-        with open(os.path.join(REPO_ROOT, "src/storage/btree.h")) as f:
-            hdr = f.read()
+                      "lock_cycle_ok.cc no longer matches the self-test "
+                      "template; update CopyFromSelfTest alongside it")
         with tempfile.TemporaryDirectory() as tmp:
             dst = os.path.join(tmp, "src", "storage")
             os.makedirs(dst)
-            with open(os.path.join(dst, "btree.h"), "w") as f:
-                f.write(hdr)
-            with open(os.path.join(dst, "btree.cc"), "w") as f:
+            with open(os.path.join(tmp, self.FIXTURE), "w") as f:
                 f.write(src.replace(self.ORDERED, self.BROKEN))
-            findings = analyze(
-                ["src/storage/btree.h", "src/storage/btree.cc"],
-                repo_root=tmp)
+            findings = analyze([self.FIXTURE], repo_root=tmp)
             cycles = [f for f in findings if f.rule == "lock-order-cycle"]
             self.assertEqual(len(cycles), 1)
             msg = cycles[0].message
-            self.assertIn("BTree::latch_", msg)
+            self.assertIn("OrderedState::latch_", msg)
+            self.assertIn("OrderedState::CopyFrom", msg)
             self.assertIn("witness", msg)
             self.assertIn("second witness", msg)
-
-    def test_intact_tree_has_no_cycle(self):
-        findings = analyze(
-            ["src/storage/btree.h", "src/storage/btree.cc"],
-            repo_root=REPO_ROOT)
-        self.assertEqual(
-            [f for f in findings if f.rule == "lock-order-cycle"], [])
 
 
 class CliTest(unittest.TestCase):

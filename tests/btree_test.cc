@@ -4,7 +4,6 @@
 #include <map>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -121,26 +120,6 @@ TEST(BTreeTest, DuplicatesInterleavedWithOtherKeys) {
   EXPECT_EQ(count, 21u);  // 20 duplicates + the original
 }
 
-TEST(BTreeTest, InsertUniqueRejectsDuplicate) {
-  BTree tree;
-  EXPECT_TRUE(tree.InsertUnique(IntKey(1), 10, nullptr).ok());
-  EXPECT_EQ(tree.InsertUnique(IntKey(1), 11, nullptr).code(),
-            StatusCode::kAlreadyExists);
-  EXPECT_EQ(tree.size(), 1u);
-}
-
-TEST(BTreeTest, InsertUniqueAcrossSplits) {
-  BTree tree(4, 4);
-  for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(tree.InsertUnique(IntKey(i), i, nullptr).ok()) << i;
-  }
-  for (int i = 0; i < 200; ++i) {
-    EXPECT_EQ(tree.InsertUnique(IntKey(i), i, nullptr).code(),
-              StatusCode::kAlreadyExists)
-        << i;
-  }
-}
-
 TEST(BTreeTest, RemoveExistingAndMissing) {
   BTree tree(4, 4);
   for (int i = 0; i < 50; ++i) tree.Insert(IntKey(i), i, nullptr);
@@ -164,73 +143,6 @@ TEST(BTreeTest, MeterCountsNodesAndWrites) {
   // One descent; boundary lookups may hop to one extra leaf.
   EXPECT_GE(lookup_meter.index_nodes, tree.height());
   EXPECT_LE(lookup_meter.index_nodes, tree.height() + 1);
-}
-
-TEST(BTreeTest, CopyFromReplicatesContents) {
-  BTree tree(4, 4);
-  for (int i = 0; i < 123; ++i) tree.Insert(IntKey(i * 3), i, nullptr);
-  BTree copy(4, 4);
-  copy.Insert(IntKey(999), 1, nullptr);  // will be discarded
-  copy.CopyFrom(tree);
-  EXPECT_EQ(copy.size(), tree.size());
-  EXPECT_EQ(copy.height(), tree.height());
-  uint64_t value;
-  for (int i = 0; i < 123; ++i) {
-    ASSERT_TRUE(copy.Lookup(IntKey(i * 3), &value, nullptr));
-    EXPECT_EQ(value, static_cast<uint64_t>(i));
-  }
-  EXPECT_FALSE(copy.Lookup(IntKey(999), &value, nullptr));
-  // Leaf chain intact: full scan sees everything in order.
-  std::vector<std::string> keys;
-  copy.ScanRange("", "",
-                 [&](const std::string& k, uint64_t) {
-                   keys.push_back(k);
-                   return true;
-                 },
-                 nullptr);
-  EXPECT_EQ(keys.size(), 123u);
-  EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
-}
-
-// Regression: CopyFrom used to lock this->latch_ then other.latch_ in
-// that fixed order, so two threads copying opposite directions could
-// each hold one latch and wait forever on the other (lock-order
-// inversion, surfaced by the thread-safety annotation pass). The fix
-// acquires by address order; on regression this test deadlocks and the
-// ctest timeout flags it.
-TEST(BTreeTest, ConcurrentBidirectionalCopyFromDoesNotDeadlock) {
-  BTree a(4, 4);
-  BTree b(4, 4);
-  for (int i = 0; i < 200; ++i) {
-    a.Insert(IntKey(i), static_cast<uint64_t>(i), nullptr);
-    b.Insert(IntKey(1000 + i), static_cast<uint64_t>(i), nullptr);
-  }
-  constexpr int kIters = 300;
-  std::thread forward([&] {
-    for (int i = 0; i < kIters; ++i) a.CopyFrom(b);
-  });
-  std::thread backward([&] {
-    for (int i = 0; i < kIters; ++i) b.CopyFrom(a);
-  });
-  forward.join();
-  backward.join();
-  // Whatever interleaving won, both trees hold exactly one snapshot.
-  EXPECT_EQ(a.size(), 200u);
-  EXPECT_EQ(b.size(), 200u);
-}
-
-// Self-copy must be a no-op, not a self-deadlock (the address-ordered
-// path would otherwise try to re-lock the same latch).
-TEST(BTreeTest, SelfCopyFromIsNoOp) {
-  BTree tree(4, 4);
-  for (int i = 0; i < 50; ++i) {
-    tree.Insert(IntKey(i), static_cast<uint64_t>(i), nullptr);
-  }
-  tree.CopyFrom(tree);
-  EXPECT_EQ(tree.size(), 50u);
-  uint64_t value = 0;
-  ASSERT_TRUE(tree.Lookup(IntKey(7), &value, nullptr));
-  EXPECT_EQ(value, 7u);
 }
 
 TEST(BTreeTest, ClearResets) {

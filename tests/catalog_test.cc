@@ -74,15 +74,6 @@ TEST(CatalogTest, CompositeIndexKey) {
             key::EncodeKey({Value("amy"), Value(int64_t{41})}));
 }
 
-TEST(CatalogTest, DropAllIndexes) {
-  Catalog catalog;
-  catalog.CreateTable("people", PersonSchema());
-  catalog.CreateIndex("pk", "people", {0}, true);
-  catalog.DropAllIndexes();
-  EXPECT_EQ(catalog.GetIndex("pk"), nullptr);
-  EXPECT_TRUE(catalog.TableIndexes(0).empty());
-}
-
 Row Person(int64_t id, const std::string& name) {
   return Row{id, name, int64_t{20} + id};
 }
@@ -120,7 +111,7 @@ TEST(CatalogTest, RewindRestoresLoadStateAndIndexes) {
   catalog.Seal();
   for (int round = 0; round < 2; ++round) {
     ASSERT_TRUE(people->AddVersion(7, Person(7, "changed"), 5, nullptr).ok());
-    ASSERT_TRUE(people->MarkDeleted(8, 6, nullptr).ok());
+    ASSERT_TRUE(people->AddVersion(8, Person(8, "renamed"), 6, nullptr).ok());
     EXPECT_EQ(InsertIndexed(&catalog, "people", Person(20, "late"), 7), 20u);
     EXPECT_EQ(pk->tree->size(), 21u);
 

@@ -28,6 +28,7 @@
 #include "hattrick/datagen.h"
 #include "hattrick/queries.h"
 #include "hattrick/transactions.h"
+#include "tests/merge_modes.h"
 
 namespace hattrick {
 namespace {
@@ -76,13 +77,24 @@ std::vector<double> AllQueryChecksums(HtapEngine* engine) {
 
 class ConsistencyTest : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(ConsistencyTest, HybridColumnCopyMatchesRowStore) {
-  const Dataset dataset = GenerateDataset(SmallConfig(GetParam()));
-  HybridEngine engine;
+// The hybrid cases run under both merge modes: eager merges the delta into
+// the column copy, bitmap serves it as pending versions.
+class HybridConsistencyTest
+    : public ::testing::TestWithParam<SeedAndMergeMode> {
+ protected:
+  static uint64_t Seed() { return std::get<0>(GetParam()); }
+  static HybridEngineConfig Config() {
+    return WithMergeMode({}, std::get<1>(GetParam()));
+  }
+};
+
+TEST_P(HybridConsistencyTest, HybridColumnCopyMatchesRowStore) {
+  const Dataset dataset = GenerateDataset(SmallConfig(Seed()));
+  HybridEngine engine(Config());
   ASSERT_TRUE(
       LoadDataset(dataset, PhysicalSchema::kSemiIndexes, &engine).ok());
   WorkloadContext context(dataset);
-  RunRandomWorkload(&engine, &context, GetParam() * 13, 300);
+  RunRandomWorkload(&engine, &context, Seed() * 13, 300);
 
   WorkMeter meter;
   // Force full visibility into the columnar base: merges the delta
@@ -137,20 +149,20 @@ TEST_P(ConsistencyTest, IsolatedStandbyConvergesToPrimary) {
   }
 }
 
-TEST_P(ConsistencyTest, SharedAndHybridAgreeOnAllQueries) {
-  const Dataset dataset = GenerateDataset(SmallConfig(GetParam()));
+TEST_P(HybridConsistencyTest, SharedAndHybridAgreeOnAllQueries) {
+  const Dataset dataset = GenerateDataset(SmallConfig(Seed()));
   SharedEngine shared;
   ASSERT_TRUE(
       LoadDataset(dataset, PhysicalSchema::kSemiIndexes, &shared).ok());
-  HybridEngine hybrid;
+  HybridEngine hybrid(Config());
   ASSERT_TRUE(
       LoadDataset(dataset, PhysicalSchema::kSemiIndexes, &hybrid).ok());
 
   // Identical committed histories on both engines.
   WorkloadContext shared_context(dataset);
   WorkloadContext hybrid_context(dataset);
-  RunRandomWorkload(&shared, &shared_context, GetParam() * 19, 200);
-  RunRandomWorkload(&hybrid, &hybrid_context, GetParam() * 19, 200);
+  RunRandomWorkload(&shared, &shared_context, Seed() * 19, 200);
+  RunRandomWorkload(&hybrid, &hybrid_context, Seed() * 19, 200);
 
   const std::vector<double> a = AllQueryChecksums(&shared);
   const std::vector<double> b = AllQueryChecksums(&hybrid);
@@ -332,13 +344,20 @@ DatagenConfig StressConfig(uint64_t seed) {
   return config;
 }
 
-TEST_P(ConsistencyTest, HybridSnapshotsConsistentUnderConcurrentWriters) {
-  const Dataset dataset = GenerateDataset(StressConfig(GetParam()));
-  HybridEngine engine;
+TEST_P(HybridConsistencyTest,
+       HybridSnapshotsConsistentUnderConcurrentWriters) {
+  const Dataset dataset = GenerateDataset(StressConfig(Seed()));
+  HybridEngine engine(Config());
   ASSERT_TRUE(
       LoadDataset(dataset, PhysicalSchema::kSemiIndexes, &engine).ok());
-  StressParallelSnapshots(&engine, dataset, GetParam() * 7);
+  StressParallelSnapshots(&engine, dataset, Seed() * 7);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, HybridConsistencyTest,
+    ::testing::Combine(::testing::Values(1001, 2002, 3003),
+                       ::testing::ValuesIn(kMergeModes)),
+    SeedAndMergeModeName);
 
 TEST_P(ConsistencyTest, HybridBitmapSnapshotsConsistentUnderBackgroundFold) {
   // Bitmap merge mode under maximum contention: writer threads append

@@ -16,6 +16,7 @@
 #include "hattrick/datagen.h"
 #include "hattrick/driver.h"
 #include "hattrick/frontier.h"
+#include "tests/merge_modes.h"
 
 namespace hattrick {
 namespace {
@@ -147,9 +148,10 @@ TEST_F(DriverTest, SharedAndHybridFreshnessIsZero) {
     ASSERT_FALSE(metrics.freshness.empty());
     EXPECT_DOUBLE_EQ(metrics.freshness.Max(), 0.0);
   }
-  {
+  for (const MergeMode mode : kMergeModes) {
+    SCOPED_TRACE(MergeModeName(mode));
     auto engine = LoadEngine<HybridEngine, HybridEngineConfig>(
-        *dataset_, SystemXConfig());
+        *dataset_, WithMergeMode(SystemXConfig(), mode));
     WorkloadContext context(*dataset_);
     SimDriver driver(engine.get(), &context, HybridSimSetup());
     const RunMetrics metrics = driver.Run(QuickRun(6, 3));
@@ -262,7 +264,13 @@ TEST_F(DriverTest, MakeRunnerWiresThrough) {
 // Under ThreadSanitizer this also runs the client core on real threads.
 // ---------------------------------------------------------------------------
 
-enum class Design { kShared, kIsolatedShip, kIsolatedApply, kHybrid };
+enum class Design {
+  kShared,
+  kIsolatedShip,
+  kIsolatedApply,
+  kHybrid,  // eager merge
+  kHybridBitmap,
+};
 
 const char* DesignName(Design design) {
   switch (design) {
@@ -274,6 +282,8 @@ const char* DesignName(Design design) {
       return "IsolatedApply";
     case Design::kHybrid:
       return "Hybrid";
+    case Design::kHybridBitmap:
+      return "HybridBitmap";
   }
   return "";
 }
@@ -313,8 +323,12 @@ class DriverContractTest : public ::testing::TestWithParam<ContractParam> {
                                                                 config);
       }
       case Design::kHybrid:
-        return LoadEngine<HybridEngine, HybridEngineConfig>(*dataset_,
-                                                            SystemXConfig());
+      case Design::kHybridBitmap:
+        return LoadEngine<HybridEngine, HybridEngineConfig>(
+            *dataset_, WithMergeMode(SystemXConfig(),
+                                     design == Design::kHybrid
+                                         ? MergeMode::kEager
+                                         : MergeMode::kBitmap));
     }
     return nullptr;
   }
@@ -327,6 +341,7 @@ class DriverContractTest : public ::testing::TestWithParam<ContractParam> {
       case Design::kIsolatedApply:
         return IsolatedSimSetup();
       case Design::kHybrid:
+      case Design::kHybridBitmap:
         return HybridSimSetup();
     }
     return SimSetup{};
@@ -419,7 +434,8 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(Design::kShared,
                                          Design::kIsolatedShip,
                                          Design::kIsolatedApply,
-                                         Design::kHybrid)),
+                                         Design::kHybrid,
+                                         Design::kHybridBitmap)),
     [](const ::testing::TestParamInfo<ContractParam>& info) {
       return std::string(std::get<0>(info.param) ? "Threaded" : "Sim") +
              DesignName(std::get<1>(info.param));

@@ -190,11 +190,20 @@ INSTANTIATE_TEST_SUITE_P(
                      return std::unique_ptr<HtapEngine>(
                          std::make_unique<HybridEngine>());
                    }},
+        EngineCase{"hybrid_bitmap_unfolded",
+                   [] {
+                     // Versioned column store at the default watermark:
+                     // the suite's few commits stay pending versions.
+                     HybridEngineConfig config;
+                     config.merge_mode = MergeMode::kBitmap;
+                     return std::unique_ptr<HtapEngine>(
+                         std::make_unique<HybridEngine>(config));
+                   }},
         EngineCase{"hybrid_bitmap",
                    [] {
                      // Versioned column store with a tiny watermark so
                      // the conformance suite also exercises background
-                     // folds (the default case inherits the env mode).
+                     // folds.
                      HybridEngineConfig config;
                      config.merge_mode = MergeMode::kBitmap;
                      config.fold_watermark = 4;
@@ -385,7 +394,7 @@ TEST_F(IsolatedEngineTest, MultiReplicaReset) {
 class HybridEngineTest : public ::testing::Test {
  protected:
   // These tests assert the eager merge-before-read protocol itself, so
-  // the mode is pinned rather than inherited from HATTRICK_MERGE_MODE.
+  // the mode is named even though it is the default.
   void SetUp() override {
     HybridEngineConfig config;
     config.merge_mode = MergeMode::kEager;

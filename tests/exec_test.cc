@@ -281,23 +281,6 @@ TEST(OperatorDeathTest, HashJoinRejectsNonInt64Keys) {
   }
 }
 
-TEST(BatchRowsTest, ParsesPositiveIntegersAndDefaultsWhenUnset) {
-  EXPECT_EQ(BatchRowsFromEnv(nullptr), kDefaultBatchRows);
-  EXPECT_EQ(BatchRowsFromEnv(""), kDefaultBatchRows);
-  EXPECT_EQ(BatchRowsFromEnv("1"), 1u);  // CI's degenerate-batch leg
-  EXPECT_EQ(BatchRowsFromEnv("3"), 3u);
-  EXPECT_EQ(BatchRowsFromEnv("4096"), 4096u);
-}
-
-TEST(BatchRowsDeathTest, RejectsJunkAndNonPositiveValues) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  for (const char* junk : {"abc", "-3", "0", "12abc", "1.5",
-                           "99999999999999999999999"}) {
-    SCOPED_TRACE(junk);
-    EXPECT_DEATH(BatchRowsFromEnv(junk), "invalid HATTRICK_BATCH_ROWS");
-  }
-}
-
 TEST(OperatorTest, HashAggregateGroupsAndSums) {
   std::vector<Row> rows = {R({std::string("a"), int64_t{1}}),
                            R({std::string("b"), int64_t{2}}),

@@ -21,6 +21,7 @@
 #include "obs/trace.h"
 #include "shard/shard_router.h"
 #include "shard/sharded_engine.h"
+#include "tests/merge_modes.h"
 
 namespace hattrick {
 namespace {
@@ -160,8 +161,10 @@ void RunHistory(IsolatedEngine* engine, uint64_t seed, int txns) {
   engine->replica(0)->CatchUp(nullptr);
 }
 
-std::unique_ptr<ShardedEngine> MakeShardedKvEngine(const FaultConfig& fault) {
+std::unique_ptr<ShardedEngine> MakeShardedKvEngine(const FaultConfig& fault,
+                                                   MergeMode mode) {
   ShardedEngineConfig config;
+  config.node.merge_mode = mode;
   config.name = "faulted-sharded";
   config.shards = 3;
   config.plan = {{"kv", TablePlacement{Placement::kHashed, 0}}};
@@ -280,39 +283,44 @@ TEST(FaultConvergenceTest, FaultedRunMatchesFaultFreeRun) {
     EXPECT_EQ(faulted->replica(0)->catalog()->GetIndex("kv_pk")->tree->size(),
               LatestContents(faulted->replica(0)->catalog()).size());
 
-    // Sharded: every shard's standby converges to its shard primary and
-    // to the fault-free run's standby for that shard.
-    auto clean_sharded = MakeShardedKvEngine(FaultConfig{});
-    auto faulted_sharded = MakeShardedKvEngine(fault.value());
-    RunShardedHistory(clean_sharded.get(), /*seed=*/5, /*txns=*/200);
-    RunShardedHistory(faulted_sharded.get(), /*seed=*/5, /*txns=*/200);
-    uint64_t faults_fired = 0;
-    for (uint32_t shard = 0; shard < faulted_sharded->num_shards(); ++shard) {
-      const WalStream* stream = faulted_sharded->shard_stream(shard);
-      faults_fired += stream->injected_drops() +
-                      stream->injected_duplicates() +
-                      stream->injected_reorders() +
-                      faulted_sharded->shard_replica(shard)->crash_recoveries();
-    }
-    EXPECT_GT(faults_fired, 0u);  // else this leg proves nothing
-    for (uint32_t shard = 0; shard < faulted_sharded->num_shards(); ++shard) {
-      SCOPED_TRACE("shard " + std::to_string(shard));
-      Catalog* primary =
-          faulted_sharded->shard_engine(shard)->primary_catalog();
-      const Replica* standby = faulted_sharded->shard_replica(shard);
-      const Replica* clean_standby = clean_sharded->shard_replica(shard);
-      EXPECT_EQ(LatestContents(
-                    clean_sharded->shard_engine(shard)->primary_catalog()),
-                LatestContents(primary));
-      EXPECT_EQ(LatestContents(standby->catalog()), LatestContents(primary));
-      EXPECT_EQ(LatestContents(standby->catalog()),
-                LatestContents(clean_standby->catalog()));
-      EXPECT_EQ(standby->Lag(), 0u);
-      EXPECT_EQ(standby->applied_lsn(), clean_standby->applied_lsn());
-      EXPECT_TRUE(standby->last_error().ok())
-          << standby->last_error().ToString();
-      EXPECT_EQ(standby->catalog()->GetIndex("kv_pk")->tree->size(),
-                LatestContents(standby->catalog()).size());
+    for (const MergeMode mode : kMergeModes) {
+      SCOPED_TRACE(MergeModeName(mode));
+      // Sharded: every shard's standby converges to its shard primary and
+      // to the fault-free run's standby for that shard, in either merge
+      // mode of the shard nodes.
+      auto clean_sharded = MakeShardedKvEngine(FaultConfig{}, mode);
+      auto faulted_sharded = MakeShardedKvEngine(fault.value(), mode);
+      RunShardedHistory(clean_sharded.get(), /*seed=*/5, /*txns=*/200);
+      RunShardedHistory(faulted_sharded.get(), /*seed=*/5, /*txns=*/200);
+      const uint32_t shards = faulted_sharded->num_shards();
+      uint64_t faults_fired = 0;
+      for (uint32_t shard = 0; shard < shards; ++shard) {
+        const WalStream* stream = faulted_sharded->shard_stream(shard);
+        faults_fired +=
+            stream->injected_drops() + stream->injected_duplicates() +
+            stream->injected_reorders() +
+            faulted_sharded->shard_replica(shard)->crash_recoveries();
+      }
+      EXPECT_GT(faults_fired, 0u);  // else this leg proves nothing
+      for (uint32_t shard = 0; shard < shards; ++shard) {
+        SCOPED_TRACE("shard " + std::to_string(shard));
+        Catalog* primary =
+            faulted_sharded->shard_engine(shard)->primary_catalog();
+        const Replica* standby = faulted_sharded->shard_replica(shard);
+        const Replica* clean_standby = clean_sharded->shard_replica(shard);
+        EXPECT_EQ(LatestContents(
+                      clean_sharded->shard_engine(shard)->primary_catalog()),
+                  LatestContents(primary));
+        EXPECT_EQ(LatestContents(standby->catalog()), LatestContents(primary));
+        EXPECT_EQ(LatestContents(standby->catalog()),
+                  LatestContents(clean_standby->catalog()));
+        EXPECT_EQ(standby->Lag(), 0u);
+        EXPECT_EQ(standby->applied_lsn(), clean_standby->applied_lsn());
+        EXPECT_TRUE(standby->last_error().ok())
+            << standby->last_error().ToString();
+        EXPECT_EQ(standby->catalog()->GetIndex("kv_pk")->tree->size(),
+                  LatestContents(standby->catalog()).size());
+      }
     }
   }
 }
@@ -389,8 +397,10 @@ DatabaseSpec TransferSpec() {
   return spec;
 }
 
-std::unique_ptr<ShardedEngine> MakeTransferEngine(uint32_t shards) {
+std::unique_ptr<ShardedEngine> MakeTransferEngine(uint32_t shards,
+                                                  MergeMode mode) {
   ShardedEngineConfig config;
+  config.node.merge_mode = mode;
   config.shards = shards;
   config.seed = 42;
   config.plan = {{"acct", TablePlacement{Placement::kHashed, 0}}};
@@ -407,17 +417,17 @@ std::unique_ptr<ShardedEngine> MakeTransferEngine(uint32_t shards) {
   return engine;
 }
 
-class TwoPcChaosTest : public ::testing::TestWithParam<uint64_t> {};
+class TwoPcChaosTest : public ::testing::TestWithParam<SeedAndMergeMode> {};
 
 TEST_P(TwoPcChaosTest, CoordinatorCrashRecoversToOneDecision) {
-  const uint64_t seed = GetParam();
+  const uint64_t seed = std::get<0>(GetParam());
   const TwoPcCrash::Point kPoints[] = {
       TwoPcCrash::Point::kMidPrepare,
       TwoPcCrash::Point::kAfterPrepareLog,
       TwoPcCrash::Point::kAfterDecideLog,
       TwoPcCrash::Point::kMidCommit,
   };
-  auto engine = MakeTransferEngine(3);
+  auto engine = MakeTransferEngine(3, std::get<1>(GetParam()));
   const IndexInfo* pk = engine->primary_catalog()->GetIndex("acct_pk");
   ASSERT_NE(pk, nullptr);
   Rng rng(seed);
@@ -509,8 +519,11 @@ TEST_P(TwoPcChaosTest, CoordinatorCrashRecoversToOneDecision) {
   EXPECT_EQ(total_balance(), int64_t{100} * 32);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, TwoPcChaosTest,
-                         ::testing::Range<uint64_t>(1, 21));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, TwoPcChaosTest,
+    ::testing::Combine(::testing::Range<uint64_t>(1, 21),
+                       ::testing::ValuesIn(kMergeModes)),
+    SeedAndMergeModeName);
 
 // ---------------------------------------------------------------------
 // Criterion (a): whole-simulation determinism. Two same-seed faulted

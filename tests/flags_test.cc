@@ -69,30 +69,6 @@ TEST(FlagsTest, BareFlagBeforeAnotherFlag) {
   EXPECT_EQ(flags.GetInt("sf", 0), 2);
 }
 
-TEST(FlagsTest, GetPositiveIntAcceptsPositiveValues) {
-  EXPECT_EQ(Parse({"--batch-size=1"}).GetPositiveInt("batch-size", 1024), 1);
-  EXPECT_EQ(Parse({"--batch-size=4096"}).GetPositiveInt("batch-size", 1024),
-            4096);
-}
-
-TEST(FlagsTest, GetPositiveIntRejectsZeroAndNegatives) {
-  // A batch of zero rows can make no progress and a negative width is
-  // meaningless, so both fall back to the default instead of being
-  // clamped to some other surprising value.
-  EXPECT_EQ(Parse({"--batch-size=0"}).GetPositiveInt("batch-size", 1024),
-            1024);
-  EXPECT_EQ(Parse({"--batch-size=-5"}).GetPositiveInt("batch-size", 1024),
-            1024);
-}
-
-TEST(FlagsTest, GetPositiveIntRejectsGarbage) {
-  // An unparsable value is never read as 0 (or as its numeric prefix).
-  EXPECT_EQ(Parse({"--batch-size=banana"}).GetPositiveInt("batch-size", 1024),
-            1024);
-  EXPECT_EQ(Parse({"--batch-size=12abc"}).GetPositiveInt("batch-size", 1024),
-            1024);
-}
-
 TEST(FlagsTest, StrictNumberParsing) {
   int i = 0;
   EXPECT_TRUE(ParseIntFlag("42", &i));
@@ -154,8 +130,23 @@ TEST(FlagsTest, ValidateRejectsUnparsableValues) {
             "--threaded: 'maybe' is not a boolean");
 }
 
-TEST(FlagsTest, GetPositiveIntUsesFallbackWhenAbsent) {
-  EXPECT_EQ(Parse({}).GetPositiveInt("batch-size", 1024), 1024);
+TEST(FlagsTest, ValidateRejectsIntegersOutsideTheirRange) {
+  // A ranged knob is never clamped or swapped for its default: 0 shards,
+  // 65 shards and a zero-row batch are errors.
+  const std::vector<FlagSpec> ranged = {{"shards", FlagKind::kInt, 1, 64},
+                                        {"batch-size", FlagKind::kInt, 1}};
+  EXPECT_EQ(Parse({"--shards=0"}).Validate(ranged),
+            "--shards: 0 is out of range [1, 64]");
+  EXPECT_EQ(Parse({"--shards=65"}).Validate(ranged),
+            "--shards: 65 is out of range [1, 64]");
+  EXPECT_EQ(Parse({"--batch-size=0"}).Validate(ranged),
+            "--batch-size: 0 is out of range [1, 2147483647]");
+  EXPECT_EQ(Parse({"--batch-size=-5"}).Validate(ranged),
+            "--batch-size: -5 is out of range [1, 2147483647]");
+  EXPECT_EQ(Parse({"--shards=1", "--batch-size=1"}).Validate(ranged), "");
+  EXPECT_EQ(Parse({"--shards=64", "--batch-size=4096"}).Validate(ranged), "");
+  // Without a declared range every integer is accepted.
+  EXPECT_EQ(Parse({"--t=-3"}).Validate(kTestFlags), "");
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "hattrick/datagen.h"
 #include "hattrick/driver.h"
 #include "hattrick/frontier.h"
+#include "tests/merge_modes.h"
 
 namespace hattrick {
 namespace {
@@ -89,9 +90,11 @@ TEST(IntegrationTest, IsolatedEngineFrontierAboveShared) {
             FrontierCoverage(shared_grid));
 }
 
-TEST(IntegrationTest, HybridEngineMiniRun) {
+class HybridIntegrationTest : public ::testing::TestWithParam<MergeMode> {};
+
+TEST_P(HybridIntegrationTest, HybridEngineMiniRun) {
   const Dataset dataset = GenerateDataset(MiniConfig());
-  HybridEngine engine(SystemXConfig());
+  HybridEngine engine(WithMergeMode(SystemXConfig(), GetParam()));
   ASSERT_TRUE(
       LoadDataset(dataset, PhysicalSchema::kSemiIndexes, &engine).ok());
   WorkloadContext context(dataset);
@@ -149,9 +152,9 @@ TEST(IntegrationTest, ThreadedDriverIsolatedEngineRemoteApply) {
   }
 }
 
-TEST(IntegrationTest, ThreadedDriverHybridEngine) {
+TEST_P(HybridIntegrationTest, ThreadedDriverHybridEngine) {
   const Dataset dataset = GenerateDataset(MiniConfig());
-  HybridEngine engine(TidbConfig());
+  HybridEngine engine(WithMergeMode(TidbConfig(), GetParam()));
   ASSERT_TRUE(
       LoadDataset(dataset, PhysicalSchema::kSemiIndexes, &engine).ok());
   WorkloadContext context(dataset);
@@ -170,6 +173,10 @@ TEST(IntegrationTest, ThreadedDriverHybridEngine) {
     EXPECT_DOUBLE_EQ(metrics.freshness.Max(), 0.0);
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(MergeModes, HybridIntegrationTest,
+                         ::testing::ValuesIn(kMergeModes),
+                         MergeModeParamName);
 
 TEST(IntegrationTest, RatioFreshnessMeasurement) {
   const Dataset dataset = GenerateDataset(MiniConfig());

@@ -5,7 +5,7 @@ Each fixture under tests/lint_fixtures/ mirrors a repo path (the linter's
 path-scoped rules resolve against --repo-root, which these tests point at
 the fixture directory) and exercises one behavior: every rule fires on
 its bad fixture, lint:allow() suppresses per-line, comments and string
-literals never fire, allowlisted files stay silent, and the real tree
+literals never fire (env-read's fixture holds its silent cases too), allowlisted files stay silent, and the real tree
 lints clean.
 """
 
@@ -77,6 +77,27 @@ class RuleFiringTest(unittest.TestCase):
         # fires like the quote form.
         self.assertEqual(lines_fired(findings, "concrete-engine-include"),
                          [4, 5, 6, 9])
+
+    def test_env_read_fires_everywhere(self):
+        # Every spelling fires (lines 4-7); the comment, the string and an
+        # identifier that merely contains the word (lines 9-11) do not.
+        findings = lint_fixture("src/engine/env_read_bad.cc")
+        self.assertEqual(rules_fired(findings), {"env-read"})
+        self.assertEqual(lines_fired(findings, "env-read"), [4, 5, 6, 7])
+        # No file is allowlisted: the same reads fire in src/common/, the
+        # home of the other rules' allowlisted primitives.
+        self.assertEqual(hattrick_lint.ALLOWLIST.get("env-read"), None)
+        src = os.path.join(FIXTURES, "src/engine/env_read_bad.cc")
+        dst = os.path.join(FIXTURES, "src/common/env_fixture.cc")
+        try:
+            with open(src) as f:
+                content = f.read()
+            with open(dst, "w") as f:
+                f.write(content)
+            findings = lint_fixture("src/common/env_fixture.cc")
+            self.assertEqual(lines_fired(findings, "env-read"), [4, 5, 6, 7])
+        finally:
+            os.remove(dst)
 
     def test_concrete_engine_include_silent_in_engine_and_shard(self):
         src = os.path.join(FIXTURES, "src/hattrick/engine_include_bad.cc")
@@ -168,7 +189,7 @@ class CliTest(unittest.TestCase):
             proc.stdout.split(),
             ["nondeterministic-time", "nondeterministic-random", "raw-lock",
              "assert-in-replication", "raw-cas",
-             "concrete-engine-include", "allow-without-reason"],
+             "concrete-engine-include", "env-read", "allow-without-reason"],
         )
 
 

@@ -23,6 +23,7 @@
 #include "obs/trace.h"
 #include "shard/shard_router.h"
 #include "shard/sharded_engine.h"
+#include "tests/merge_modes.h"
 
 namespace hattrick {
 namespace {
@@ -480,19 +481,22 @@ TEST_F(ObsDriverTest, MetricsCoverDomainGroupsAndCountCommits) {
 // The same replication group on the sharded design: every shard's
 // standby chain reports through the shared standby module.
 TEST_F(ObsDriverTest, ShardedRunReportsPerShardReplication) {
-  ShardedEngineConfig config;
-  config.shards = 3;
-  config.plan = MakeSsbShardPlan(TinyConfig().num_freshness_tables);
-  config.node = TidbConfig();
-  ShardedEngine engine{config};
-  ASSERT_TRUE(
-      LoadDataset(*dataset_, PhysicalSchema::kSemiIndexes, &engine).ok());
-  WorkloadContext context(*dataset_);
-  SimDriver driver(&engine, &context, ShardedSimSetup(3));
-  const RunMetrics metrics = driver.Run(QuickRun(4, 2));
+  for (const MergeMode mode : kMergeModes) {
+    SCOPED_TRACE(MergeModeName(mode));
+    ShardedEngineConfig config;
+    config.shards = 3;
+    config.plan = MakeSsbShardPlan(TinyConfig().num_freshness_tables);
+    config.node = WithMergeMode(TidbConfig(), mode);
+    ShardedEngine engine{config};
+    ASSERT_TRUE(
+        LoadDataset(*dataset_, PhysicalSchema::kSemiIndexes, &engine).ok());
+    WorkloadContext context(*dataset_);
+    SimDriver driver(&engine, &context, ShardedSimSetup(3));
+    const RunMetrics metrics = driver.Run(QuickRun(4, 2));
 
-  EXPECT_GT(metrics.observed.CountOf(obs::kReplAppliedRecords), 0u);
-  EXPECT_GT(metrics.observed.ValueOf(obs::kReplShippedBytes), 0.0);
+    EXPECT_GT(metrics.observed.CountOf(obs::kReplAppliedRecords), 0u);
+    EXPECT_GT(metrics.observed.ValueOf(obs::kReplShippedBytes), 0.0);
+  }
 }
 
 TEST_F(ObsDriverTest, HybridRunCountsMergesInMetrics) {

@@ -24,9 +24,12 @@
 #include "hattrick/driver.h"
 #include "hattrick/queries.h"
 #include "hattrick/transactions.h"
+#include "shard/shard_router.h"
+#include "shard/sharded_engine.h"
 #include "sim/core_pool.h"
 #include "sim/simulation.h"
 #include "storage/column_table.h"
+#include "tests/merge_modes.h"
 
 namespace hattrick {
 namespace {
@@ -121,12 +124,21 @@ std::vector<Row> RunMode(const DataSource& source, int qid, int dop,
 /// in batch mode — at any batch size, degenerate 1 included — as the
 /// row-at-a-time oracle, both serial and at dop=4 (worker meters merge in
 /// shard order, so parallel totals are schedule-independent too).
-void ExpectBatchMatchesRowOracle(const DataSource& source) {
+/// Then scans every column of every table of `catalog` through `source`
+/// the same way: unlike the queries, these scans read the columns that
+/// transactions update (balances, freshness counters), so a batch run
+/// that reads a base row in place of its pending version shows up.
+/// Returns the oracle's serial work over all 13 queries, so a caller can
+/// check which access paths its source reached.
+WorkMeter ExpectBatchMatchesRowOracle(const DataSource& source,
+                                      const Catalog& catalog) {
+  WorkMeter serial_work;
   for (const int dop : {1, 4}) {
     for (int qid = 0; qid < kNumQueries; ++qid) {
       WorkMeter oracle_meter;
       const std::vector<Row> oracle = RunMode(
           source, qid, dop, /*vectorized=*/false, 1, &oracle_meter);
+      if (dop == 1) serial_work += oracle_meter;
       for (const size_t batch_rows : {size_t{1}, size_t{7}, size_t{1024}}) {
         SCOPED_TRACE(std::string(QueryName(qid)) + " dop=" +
                      std::to_string(dop) + " batch_rows=" +
@@ -145,6 +157,29 @@ void ExpectBatchMatchesRowOracle(const DataSource& source) {
       }
     }
   }
+  for (TableId id = 0; id < catalog.num_tables(); ++id) {
+    ScanSpec spec;
+    spec.table = catalog.table_name(id);
+    for (size_t c = 0; c < catalog.GetTable(id)->schema().num_columns();
+         ++c) {
+      spec.projection.push_back(c);
+    }
+    WorkMeter oracle_meter;
+    ExecContext row_ctx{&oracle_meter};
+    row_ctx.vectorized = false;
+    OperatorPtr row_scan = source.Scan(spec);
+    const std::vector<Row> oracle = Collect(row_scan.get(), &row_ctx);
+    for (const size_t batch_rows : {size_t{1}, size_t{7}, size_t{1024}}) {
+      SCOPED_TRACE(spec.table + " batch_rows=" + std::to_string(batch_rows));
+      WorkMeter meter;
+      ExecContext ctx{&meter};
+      ctx.batch_rows = batch_rows;
+      OperatorPtr scan = source.Scan(spec);
+      EXPECT_EQ(oracle, Collect(scan.get(), &ctx));
+      EXPECT_EQ(oracle_meter.Total(), meter.Total());
+    }
+  }
+  return serial_work;
 }
 
 class ParallelExecTest : public ::testing::TestWithParam<uint64_t> {};
@@ -179,28 +214,42 @@ TEST_P(ParallelExecTest, IsolatedEngineDopEquivalence) {
   ExpectDopEquivalence(*session.source);
 }
 
-TEST_P(ParallelExecTest, HybridEngineDopEquivalence) {
+INSTANTIATE_TEST_SUITE_P(Seeds, ParallelExecTest,
+                         ::testing::Values(501, 502, 503));
+
+// The hybrid cases run under both merge modes: eager merges the delta
+// before the scan, bitmap scans through the pending versions.
+class HybridParallelExecTest
+    : public ::testing::TestWithParam<SeedAndMergeMode> {
+ protected:
+  static uint64_t Seed() { return std::get<0>(GetParam()); }
+  static HybridEngineConfig Config() {
+    return WithMergeMode({}, std::get<1>(GetParam()));
+  }
+};
+
+TEST_P(HybridParallelExecTest, HybridEngineDopEquivalence) {
   const Dataset dataset = GenerateDataset(SmallConfig());
-  HybridEngine engine;
+  HybridEngine engine(Config());
   ASSERT_TRUE(
       LoadDataset(dataset, PhysicalSchema::kSemiIndexes, &engine).ok());
   WorkloadContext context(dataset);
-  RunRandomWorkload(&engine, &context, GetParam() * 41, 200);
+  RunRandomWorkload(&engine, &context, Seed() * 41, 200);
 
   WorkMeter meter;
   AnalyticsSession session = engine.BeginAnalytics(&meter);
   ExpectDopEquivalence(*session.source);
 }
 
-TEST_P(ParallelExecTest, RunQueryMatchesAcrossDop) {
+TEST_P(HybridParallelExecTest, RunQueryMatchesAcrossDop) {
   // End-to-end through RunQuery (checksum + freshness), the path the
   // drivers use.
-  const Dataset dataset = GenerateDataset(SmallConfig(GetParam()));
-  HybridEngine engine;
+  const Dataset dataset = GenerateDataset(SmallConfig(Seed()));
+  HybridEngine engine(Config());
   ASSERT_TRUE(
       LoadDataset(dataset, PhysicalSchema::kSemiIndexes, &engine).ok());
   WorkloadContext context(dataset);
-  RunRandomWorkload(&engine, &context, GetParam() * 43, 150);
+  RunRandomWorkload(&engine, &context, Seed() * 43, 150);
 
   WorkMeter meter;
   AnalyticsSession session = engine.BeginAnalytics(&meter);
@@ -218,13 +267,20 @@ TEST_P(ParallelExecTest, RunQueryMatchesAcrossDop) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, ParallelExecTest,
-                         ::testing::Values(501, 502, 503));
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, HybridParallelExecTest,
+    ::testing::Combine(::testing::Values(501, 502, 503),
+                       ::testing::ValuesIn(kMergeModes)),
+    SeedAndMergeModeName);
 
 // ---------------------------------------------------------------------------
-// Vectorized batch execution vs the row oracle (one seed per engine: the
-// sweep is 13 queries x 2 dops x 3 batch sizes, so a single mutated
-// snapshot per engine keeps the suite's runtime bounded).
+// Vectorized batch execution vs the row oracle, over every DataSource kind
+// a query can reach: the row heap with index range scans (shared), the
+// row heap of a standby (isolated), merged columns (hybrid, eager),
+// columns with pending versions (hybrid, bitmap) and the sharded
+// scatter/gather view. One seed per source: the sweep is 13 queries x 2
+// dops x 3 batch sizes, so a single mutated snapshot per source keeps the
+// suite's runtime bounded.
 // ---------------------------------------------------------------------------
 
 TEST(BatchExecEquivalenceTest, SharedEngineBatchMatchesRowOracle) {
@@ -237,7 +293,9 @@ TEST(BatchExecEquivalenceTest, SharedEngineBatchMatchesRowOracle) {
 
   WorkMeter meter;
   AnalyticsSession session = engine.BeginAnalytics(&meter);
-  ExpectBatchMatchesRowOracle(*session.source);
+  const WorkMeter work =
+      ExpectBatchMatchesRowOracle(*session.source, *engine.primary_catalog());
+  EXPECT_GT(work.index_nodes, 0u);  // some plan ran an index range scan
 }
 
 TEST(BatchExecEquivalenceTest, IsolatedEngineBatchMatchesRowOracle) {
@@ -254,12 +312,12 @@ TEST(BatchExecEquivalenceTest, IsolatedEngineBatchMatchesRowOracle) {
   while (engine.MaintenanceStep(&meter)) {
   }
   AnalyticsSession session = engine.BeginAnalytics(&meter);
-  ExpectBatchMatchesRowOracle(*session.source);
+  ExpectBatchMatchesRowOracle(*session.source, *engine.primary_catalog());
 }
 
 TEST(BatchExecEquivalenceTest, HybridEngineBatchMatchesRowOracle) {
   const Dataset dataset = GenerateDataset(SmallConfig());
-  HybridEngine engine;
+  HybridEngine engine(WithMergeMode({}, MergeMode::kEager));
   ASSERT_TRUE(
       LoadDataset(dataset, PhysicalSchema::kSemiIndexes, &engine).ok());
   WorkloadContext context(dataset);
@@ -267,7 +325,41 @@ TEST(BatchExecEquivalenceTest, HybridEngineBatchMatchesRowOracle) {
 
   WorkMeter meter;
   AnalyticsSession session = engine.BeginAnalytics(&meter);
-  ExpectBatchMatchesRowOracle(*session.source);
+  ASSERT_EQ(engine.PendingDelta(), 0u);  // merged before the scan
+  ExpectBatchMatchesRowOracle(*session.source, *engine.primary_catalog());
+}
+
+TEST(BatchExecEquivalenceTest, HybridBitmapPendingVersionsMatchRowOracle) {
+  const Dataset dataset = GenerateDataset(SmallConfig());
+  HybridEngine engine(WithMergeMode({}, MergeMode::kBitmap));
+  ASSERT_TRUE(
+      LoadDataset(dataset, PhysicalSchema::kSemiIndexes, &engine).ok());
+  WorkloadContext context(dataset);
+  RunRandomWorkload(&engine, &context, 504 * 41, 200);
+
+  WorkMeter meter;
+  AnalyticsSession session = engine.BeginAnalytics(&meter);
+  // Nothing folded: the snapshot reads the committed versions through
+  // its override and insert rows.
+  ASSERT_GT(engine.PendingDelta(), 0u);
+  ExpectBatchMatchesRowOracle(*session.source, *engine.primary_catalog());
+}
+
+TEST(BatchExecEquivalenceTest, ShardedScatterGatherMatchesRowOracle) {
+  const Dataset dataset = GenerateDataset(SmallConfig());
+  ShardedEngineConfig config;
+  config.shards = 3;
+  config.plan = MakeSsbShardPlan(SmallConfig().num_freshness_tables);
+  config.node = WithMergeMode(TidbConfig(), MergeMode::kBitmap);
+  ShardedEngine engine(config);
+  ASSERT_TRUE(
+      LoadDataset(dataset, PhysicalSchema::kSemiIndexes, &engine).ok());
+  WorkloadContext context(dataset);
+  RunRandomWorkload(&engine, &context, 505 * 41, 200);
+
+  WorkMeter meter;
+  AnalyticsSession session = engine.BeginAnalytics(&meter);
+  ExpectBatchMatchesRowOracle(*session.source, *engine.primary_catalog());
 }
 
 // ---------------------------------------------------------------------------
@@ -444,24 +536,27 @@ std::string FormatMetrics(const RunMetrics& m) {
 
 TEST(ParallelSimTest, IdenticalSeedsGiveIdenticalReportsAtDop4) {
   const Dataset dataset = GenerateDataset(SmallConfig(77));
-  HybridEngine engine;
-  ASSERT_TRUE(
-      LoadDataset(dataset, PhysicalSchema::kSemiIndexes, &engine).ok());
-  WorkloadContext context(dataset);
-  SimDriver driver(&engine, &context, HybridSimSetup());
+  for (const MergeMode mode : kMergeModes) {
+    SCOPED_TRACE(MergeModeName(mode));
+    HybridEngine engine(WithMergeMode({}, mode));
+    ASSERT_TRUE(
+        LoadDataset(dataset, PhysicalSchema::kSemiIndexes, &engine).ok());
+    WorkloadContext context(dataset);
+    SimDriver driver(&engine, &context, HybridSimSetup());
 
-  WorkloadConfig config;
-  config.t_clients = 2;
-  config.a_clients = 2;
-  config.warmup_seconds = 0.05;
-  config.measure_seconds = 0.3;
-  config.seed = 21;
-  config.dop = 4;
+    WorkloadConfig config;
+    config.t_clients = 2;
+    config.a_clients = 2;
+    config.warmup_seconds = 0.05;
+    config.measure_seconds = 0.3;
+    config.seed = 21;
+    config.dop = 4;
 
-  const std::string first = FormatMetrics(driver.Run(config));
-  const std::string second = FormatMetrics(driver.Run(config));
-  EXPECT_EQ(first, second);
-  EXPECT_NE(first.find("queries="), std::string::npos);
+    const std::string first = FormatMetrics(driver.Run(config));
+    const std::string second = FormatMetrics(driver.Run(config));
+    EXPECT_EQ(first, second);
+    EXPECT_NE(first.find("queries="), std::string::npos);
+  }
 }
 
 TEST(ParallelSimTest, SubmitParallelFinishesFasterOnIdleCores) {

@@ -16,6 +16,7 @@
 #include "hattrick/datagen.h"
 #include "hattrick/queries.h"
 #include "obs/plan_profile.h"
+#include "tests/merge_modes.h"
 
 namespace hattrick {
 namespace {
@@ -33,9 +34,12 @@ class ProfileTest : public ::testing::Test {
     shared_ = new SharedEngine();
     ASSERT_TRUE(
         LoadDataset(*dataset_, PhysicalSchema::kAllIndexes, shared_).ok());
-    hybrid_ = new HybridEngine();
-    ASSERT_TRUE(
-        LoadDataset(*dataset_, PhysicalSchema::kSemiIndexes, hybrid_).ok());
+    for (const MergeMode mode : kMergeModes) {
+      HybridEngine*& hybrid = hybrid_[static_cast<int>(mode)];
+      hybrid = new HybridEngine(WithMergeMode({}, mode));
+      ASSERT_TRUE(
+          LoadDataset(*dataset_, PhysicalSchema::kSemiIndexes, hybrid).ok());
+    }
     isolated_ = new IsolatedEngine();
     ASSERT_TRUE(
         LoadDataset(*dataset_, PhysicalSchema::kSemiIndexes, isolated_)
@@ -44,11 +48,13 @@ class ProfileTest : public ::testing::Test {
 
   static void TearDownTestSuite() {
     delete shared_;
-    delete hybrid_;
+    for (HybridEngine*& hybrid : hybrid_) {
+      delete hybrid;
+      hybrid = nullptr;
+    }
     delete isolated_;
     delete dataset_;
     shared_ = nullptr;
-    hybrid_ = nullptr;
     isolated_ = nullptr;
     dataset_ = nullptr;
   }
@@ -93,22 +99,26 @@ class ProfileTest : public ::testing::Test {
 
   static Dataset* dataset_;
   static SharedEngine* shared_;
-  static HybridEngine* hybrid_;
+  static HybridEngine* hybrid_[2];  // indexed by MergeMode
   static IsolatedEngine* isolated_;
 };
 
 Dataset* ProfileTest::dataset_ = nullptr;
 SharedEngine* ProfileTest::shared_ = nullptr;
-HybridEngine* ProfileTest::hybrid_ = nullptr;
+HybridEngine* ProfileTest::hybrid_[2] = {};
 IsolatedEngine* ProfileTest::isolated_ = nullptr;
 
-// The tentpole acceptance matrix: 13 queries x 3 engines x {row,batch}
+// The acceptance matrix: 13 queries x 3 designs (the hybrid in both
+// merge modes) x {row,batch}
 // x dop {1,4}. The profile must record exactly one root (the freshness
 // read-back is deliberately excluded) whose rows_out equals the result's
 // row count, for exactly one execution.
 TEST_F(ProfileTest, RootRowsMatchResultRowsAcrossTheFullMatrix) {
   struct { const char* label; HtapEngine* engine; } engines[] = {
-      {"shared", shared_}, {"hybrid", hybrid_}, {"isolated", isolated_}};
+      {"shared", shared_},
+      {"hybrid", hybrid_[static_cast<int>(MergeMode::kEager)]},
+      {"hybrid-bitmap", hybrid_[static_cast<int>(MergeMode::kBitmap)]},
+      {"isolated", isolated_}};
   for (const auto& e : engines) {
     for (int qid = 0; qid < kNumQueries; ++qid) {
       for (bool vectorized : {false, true}) {
@@ -153,7 +163,10 @@ TEST_F(ProfileTest, RowAndBatchModesAgreePerNodeRowsAndWork) {
 // freshness vector) and the same work-meter total with it on or off.
 TEST_F(ProfileTest, ProfilingOnOffIsBitIdentical) {
   struct { const char* label; HtapEngine* engine; } engines[] = {
-      {"shared", shared_}, {"hybrid", hybrid_}, {"isolated", isolated_}};
+      {"shared", shared_},
+      {"hybrid", hybrid_[static_cast<int>(MergeMode::kEager)]},
+      {"hybrid-bitmap", hybrid_[static_cast<int>(MergeMode::kBitmap)]},
+      {"isolated", isolated_}};
   for (const auto& e : engines) {
     for (int qid = 0; qid < kNumQueries; ++qid) {
       for (int dop : {1, 4}) {
@@ -205,17 +218,19 @@ TEST_F(ProfileTest, ParallelPlanGraftsShardProfilesUnderGatherMerge) {
 // bitmap-snapshot lane counters; every evaluated row is attributed to
 // exactly one lane.
 TEST_F(ProfileTest, ColumnScanReportsBlocksAndSnapshotLanes) {
-  const ProfiledRun run = Run(hybrid_, /*qid=*/0, /*vectorized=*/true, 1);
-  bool found_scan = false;
-  for (size_t i = 0; i < run.profile.size(); ++i) {
-    const obs::PlanProfileNode& node = run.profile.node(i);
-    if (node.name != "ColumnScan") continue;
-    found_scan = true;
-    EXPECT_GT(node.blocks_scanned + node.blocks_pruned, 0u) << node.detail;
-    EXPECT_GT(node.rows_clean + node.rows_override + node.rows_insert, 0u)
-        << node.detail;
+  for (HybridEngine* hybrid : hybrid_) {
+    const ProfiledRun run = Run(hybrid, /*qid=*/0, /*vectorized=*/true, 1);
+    bool found_scan = false;
+    for (size_t i = 0; i < run.profile.size(); ++i) {
+      const obs::PlanProfileNode& node = run.profile.node(i);
+      if (node.name != "ColumnScan") continue;
+      found_scan = true;
+      EXPECT_GT(node.blocks_scanned + node.blocks_pruned, 0u) << node.detail;
+      EXPECT_GT(node.rows_clean + node.rows_override + node.rows_insert, 0u)
+          << node.detail;
+    }
+    EXPECT_TRUE(found_scan);
   }
-  EXPECT_TRUE(found_scan);
 }
 
 // Two identical executions export byte-identical text/JSON and the same

@@ -15,6 +15,7 @@
 #include "hattrick/datagen.h"
 #include "hattrick/queries.h"
 #include "hattrick/transactions.h"
+#include "tests/merge_modes.h"
 
 namespace hattrick {
 namespace {
@@ -32,9 +33,12 @@ class QueriesTest : public ::testing::Test {
     shared_ = new SharedEngine();
     ASSERT_TRUE(
         LoadDataset(*dataset_, PhysicalSchema::kAllIndexes, shared_).ok());
-    hybrid_ = new HybridEngine();
-    ASSERT_TRUE(
-        LoadDataset(*dataset_, PhysicalSchema::kSemiIndexes, hybrid_).ok());
+    for (const MergeMode mode : kMergeModes) {
+      HybridEngine*& hybrid = hybrid_[static_cast<int>(mode)];
+      hybrid = new HybridEngine(WithMergeMode({}, mode));
+      ASSERT_TRUE(
+          LoadDataset(*dataset_, PhysicalSchema::kSemiIndexes, hybrid).ok());
+    }
     isolated_ = new IsolatedEngine();
     ASSERT_TRUE(
         LoadDataset(*dataset_, PhysicalSchema::kSemiIndexes, isolated_)
@@ -43,11 +47,13 @@ class QueriesTest : public ::testing::Test {
 
   static void TearDownTestSuite() {
     delete shared_;
-    delete hybrid_;
+    for (HybridEngine*& hybrid : hybrid_) {
+      delete hybrid;
+      hybrid = nullptr;
+    }
     delete isolated_;
     delete dataset_;
     shared_ = nullptr;
-    hybrid_ = nullptr;
     isolated_ = nullptr;
     dataset_ = nullptr;
   }
@@ -61,13 +67,13 @@ class QueriesTest : public ::testing::Test {
 
   static Dataset* dataset_;
   static SharedEngine* shared_;
-  static HybridEngine* hybrid_;
+  static HybridEngine* hybrid_[2];  // indexed by MergeMode
   static IsolatedEngine* isolated_;
 };
 
 Dataset* QueriesTest::dataset_ = nullptr;
 SharedEngine* QueriesTest::shared_ = nullptr;
-HybridEngine* QueriesTest::hybrid_ = nullptr;
+HybridEngine* QueriesTest::hybrid_[2] = {};
 IsolatedEngine* QueriesTest::isolated_ = nullptr;
 
 TEST_F(QueriesTest, QueryNames) {
@@ -145,18 +151,23 @@ TEST_F(QueriesTest, Q41MatchesNaiveReference) {
 
 TEST_F(QueriesTest, AllQueriesAgreeAcrossEngines) {
   // Row store (shared), row-store replica (isolated) and column store
-  // (hybrid) must compute identical results on the loaded snapshot.
-  for (int qid = 0; qid < kNumQueries; ++qid) {
-    const QueryResult row_result = RunOn(shared_, qid);
-    const QueryResult col_result = RunOn(hybrid_, qid);
-    const QueryResult replica_result = RunOn(isolated_, qid);
-    EXPECT_EQ(row_result.rows, col_result.rows) << QueryName(qid);
-    EXPECT_EQ(row_result.rows, replica_result.rows) << QueryName(qid);
-    const double tolerance = std::abs(row_result.checksum) * 1e-9 + 1e-6;
-    EXPECT_NEAR(row_result.checksum, col_result.checksum, tolerance)
-        << QueryName(qid);
-    EXPECT_NEAR(row_result.checksum, replica_result.checksum, tolerance)
-        << QueryName(qid);
+  // (hybrid, either merge mode) must compute identical results on the
+  // loaded snapshot.
+  for (const MergeMode mode : kMergeModes) {
+    SCOPED_TRACE(MergeModeName(mode));
+    for (int qid = 0; qid < kNumQueries; ++qid) {
+      const QueryResult row_result = RunOn(shared_, qid);
+      const QueryResult col_result =
+          RunOn(hybrid_[static_cast<int>(mode)], qid);
+      const QueryResult replica_result = RunOn(isolated_, qid);
+      EXPECT_EQ(row_result.rows, col_result.rows) << QueryName(qid);
+      EXPECT_EQ(row_result.rows, replica_result.rows) << QueryName(qid);
+      const double tolerance = std::abs(row_result.checksum) * 1e-9 + 1e-6;
+      EXPECT_NEAR(row_result.checksum, col_result.checksum, tolerance)
+          << QueryName(qid);
+      EXPECT_NEAR(row_result.checksum, replica_result.checksum, tolerance)
+          << QueryName(qid);
+    }
   }
 }
 

@@ -69,16 +69,6 @@ TEST(RowTableTest, ReadLatestIgnoresSnapshot) {
   EXPECT_EQ(out[1].AsString(), "v2");
 }
 
-TEST(RowTableTest, DeleteTerminatesVisibility) {
-  RowTable table(TwoCol());
-  const Rid rid = table.Insert(MakeRow(1, "a"), 10, nullptr);
-  ASSERT_TRUE(table.MarkDeleted(rid, 20, nullptr).ok());
-  Row out;
-  EXPECT_TRUE(table.Read(rid, 19, &out, nullptr));
-  EXPECT_FALSE(table.Read(rid, 20, &out, nullptr));
-  EXPECT_FALSE(table.ReadLatest(rid, &out, nullptr));
-}
-
 TEST(RowTableTest, LatestVersionTs) {
   RowTable table(TwoCol());
   const Rid rid = table.Insert(MakeRow(1, "a"), 10, nullptr);
@@ -275,9 +265,9 @@ TEST(RowTableScanTest, ScanRowsEqualReadsAtEverySnapshot) {
       table.TryInstallFull(4, Wide(4, -1, "withdrawn"), owner, 2, nullptr);
   ASSERT_NE(aborted, nullptr);
   mvcc::Withdraw(aborted);
-  // rid 5: a tombstone at cts 6.
-  table.Insert(Wide(5, 5.0, "deleted"), 2, nullptr);
-  ASSERT_TRUE(table.MarkDeleted(5, 6, nullptr).ok());
+  // rid 5: a full version replaced at cts 6.
+  table.Insert(Wide(5, 5.0, "original"), 2, nullptr);
+  ASSERT_TRUE(table.AddVersion(5, Wide(5, 50.0, "replaced"), 6, nullptr).ok());
   // rid 6: versions newer than most snapshots, plus a delta on top.
   table.Insert(Wide(6, 6.0, "old"), 2, nullptr);
   ASSERT_TRUE(table.AddVersion(6, Wide(6, 60.0, "new"), 8, nullptr).ok());
@@ -320,16 +310,17 @@ TEST(RowTableScanTest, ScanRowsEqualReadsAtEverySnapshot) {
   EXPECT_EQ(latest.at(2)[1].AsDouble(), rid2);
   EXPECT_EQ(latest.at(3)[2].AsString(), "pending");
   EXPECT_EQ(latest.at(4)[2].AsString(), "aborted");
-  EXPECT_EQ(latest.count(5), 0u);
+  EXPECT_EQ(latest.at(5)[2].AsString(), "replaced");
   EXPECT_EQ(latest.at(6)[1].AsDouble(), 60.5);
 }
 
 TEST(RowTableScanTest, VisitorStopsEarly) {
   RowTable table(ThreeCol());
+  // rid 1 is created after the scan's snapshot, so the scan skips it.
   for (int i = 0; i < 10; ++i) {
-    table.Insert(Wide(i, i, "r" + std::to_string(i)), 1, nullptr);
+    table.Insert(Wide(i, i, "r" + std::to_string(i)), i == 1 ? 9 : 1,
+                 nullptr);
   }
-  ASSERT_TRUE(table.MarkDeleted(1, 2, nullptr).ok());
   ASSERT_TRUE(table.AddDeltaVersion(2, 1, Value(0.5), 2, nullptr).ok());
   std::vector<Rid> visited;
   WorkMeter meter;
@@ -456,7 +447,6 @@ struct NaiveNode {
   mvcc::VersionStatus status;
   Ts cts = 0;
   bool delta = false;
-  bool tombstone = false;
   uint32_t column = 0;
   Row payload;
   const void* owner = nullptr;
@@ -489,7 +479,6 @@ NaiveRead NaiveResolve(const std::vector<NaiveNode>& chain, Ts snapshot) {
       deltas.push_back(&*it);
       continue;
     }
-    if (it->tombstone) return r;
     r.visible = true;
     r.rows_read = 1;
     r.row = it->payload;
@@ -606,10 +595,11 @@ TEST(RowTableTest, SealRewindRestoresLoadState) {
     }
     Row row;
     ASSERT_TRUE(table.ReadLatest(0, &row, nullptr));
-    // Row 1: overwritten, then deleted.
+    // Row 1: overwritten twice.
     ASSERT_TRUE(table.AddVersion(1, Row{int64_t{1}, 9.0, int64_t{9}}, 20,
                                  nullptr).ok());
-    ASSERT_TRUE(table.MarkDeleted(1, 21, nullptr).ok());
+    ASSERT_TRUE(table.AddVersion(1, Row{int64_t{1}, 8.0, int64_t{8}}, 21,
+                                 nullptr).ok());
     // Row 2: an aborted delta under a pending full version.
     mvcc::VersionNode* aborted =
         table.TryInstallDelta(2, 1, Value(1.0), &owner, nullptr);
@@ -671,7 +661,7 @@ class FoldMemoOracleTest : public ::testing::TestWithParam<int> {};
 // checked against the naive resolver: bit-equal folds, equal meters and
 // observations, and equal ValidateRead/TryInstall* outcomes. Histories
 // publish deltas out of install order, leave pending and aborted nodes
-// at and below the head, delete and resurrect rows, read below memos'
+// at and below the head, replace full versions, read below memos'
 // any_cts, vacuum between probes (the table is sealed, so the load
 // versions stay), and rewind to the load state.
 TEST_P(FoldMemoOracleTest, MatchesNaiveResolver) {
@@ -686,7 +676,7 @@ TEST_P(FoldMemoOracleTest, MatchesNaiveResolver) {
     const Row row{int64_t{r}, 0.5 * r, int64_t{0}};
     table->Insert(row, clock, nullptr);
     model[r].push_back(NaiveNode{mvcc::VersionStatus::kCommitted, clock,
-                                 false, false, 0, row});
+                                 false, 0, row});
   }
   table->Seal();
   // Distinct owner identities for pending writers.
@@ -727,20 +717,14 @@ TEST_P(FoldMemoOracleTest, MatchesNaiveResolver) {
                                   : Value(rng.Uniform(-5, 5));
       ASSERT_TRUE(table->AddDeltaVersion(rid, col, inc, cts, nullptr).ok());
       chain.push_back(NaiveNode{mvcc::VersionStatus::kCommittedDelta, cts,
-                                true, false, col, Row{inc}});
+                                true, col, Row{inc}});
     } else if (op < 38) {
-      // A committed full version or tombstone.
+      // A committed full version.
       clock += 1 + static_cast<Ts>(rng.Uniform(0, 2));
-      if (rng.Bernoulli(0.25)) {
-        ASSERT_TRUE(table->MarkDeleted(rid, clock, nullptr).ok());
-        chain.push_back(NaiveNode{mvcc::VersionStatus::kCommitted, clock,
-                                  false, true, 0, Row{}});
-      } else {
-        const Row row{int64_t{rid}, rng.NextDouble(), rng.Uniform(0, 9)};
-        ASSERT_TRUE(table->AddVersion(rid, row, clock, nullptr).ok());
-        chain.push_back(NaiveNode{mvcc::VersionStatus::kCommitted, clock,
-                                  false, false, 0, row});
-      }
+      const Row row{int64_t{rid}, rng.NextDouble(), rng.Uniform(0, 9)};
+      ASSERT_TRUE(table->AddVersion(rid, row, clock, nullptr).ok());
+      chain.push_back(NaiveNode{mvcc::VersionStatus::kCommitted, clock,
+                                false, 0, row});
     } else if (op < 46) {
       // A pending delta or full install by one of the owners.
       const int who = static_cast<int>(rng.Uniform(0, 3));
@@ -752,8 +736,7 @@ TEST_P(FoldMemoOracleTest, MatchesNaiveResolver) {
         ASSERT_EQ(node != nullptr, ok);
         if (node != nullptr) {
           chain.push_back(NaiveNode{mvcc::VersionStatus::kPending, 0, true,
-                                    false, 1, Row{inc}, owner_of(who),
-                                    node});
+                                    1, Row{inc}, owner_of(who), node});
         }
       } else {
         // Half the writers base on the newest state, half on a stale one.
@@ -769,7 +752,7 @@ TEST_P(FoldMemoOracleTest, MatchesNaiveResolver) {
         ASSERT_EQ(node != nullptr, ok);
         if (node != nullptr) {
           chain.push_back(NaiveNode{mvcc::VersionStatus::kPending, 0, false,
-                                    false, 0, row, owner_of(who), node});
+                                    0, row, owner_of(who), node});
         }
       }
     } else if (op < 54) {

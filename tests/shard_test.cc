@@ -20,6 +20,7 @@
 #include "shard/shard_router.h"
 #include "shard/sharded_engine.h"
 #include "shard/two_pc.h"
+#include "tests/merge_modes.h"
 
 namespace hattrick {
 namespace {
@@ -174,11 +175,13 @@ QueryResult RunOneQuery(HtapEngine* engine, int query_id,
 // on the same history: scatter/gather plans, routed transactions and
 // single-shard freshness tables all included.
 
-TEST(ShardedEqualityTest, ThreeShardsMatchUnshardedAnswers) {
+class ShardedEqualityTest : public ::testing::TestWithParam<MergeMode> {};
+
+TEST_P(ShardedEqualityTest, ThreeShardsMatchUnshardedAnswers) {
   const uint32_t kFreshness = 6;
   const Dataset dataset = SmallDataset(0.5, kFreshness);
 
-  auto unsharded = MakeHybridEngine(TidbConfig());
+  auto unsharded = MakeHybridEngine(WithMergeMode(TidbConfig(), GetParam()));
   ASSERT_TRUE(LoadDataset(dataset, PhysicalSchema::kSemiIndexes,
                           unsharded.get())
                   .ok());
@@ -187,7 +190,7 @@ TEST(ShardedEqualityTest, ThreeShardsMatchUnshardedAnswers) {
   config.shards = 3;
   config.seed = kDatagenSeed;
   config.plan = MakeSsbShardPlan(kFreshness);
-  config.node = TidbConfig();
+  config.node = WithMergeMode(TidbConfig(), GetParam());
   auto sharded = std::make_unique<ShardedEngine>(config);
   ASSERT_TRUE(LoadDataset(dataset, PhysicalSchema::kSemiIndexes,
                           sharded.get())
@@ -213,6 +216,10 @@ TEST(ShardedEqualityTest, ThreeShardsMatchUnshardedAnswers) {
   }
 }
 
+INSTANTIATE_TEST_SUITE_P(MergeModes, ShardedEqualityTest,
+                         ::testing::ValuesIn(kMergeModes),
+                         MergeModeParamName);
+
 // ---------------------------------------------------------------------
 // shards=1 is bit-identical to the inner engine: same outcomes (status,
 // commit timestamps, write keys, rids) and same answers, across 21
@@ -220,11 +227,14 @@ TEST(ShardedEqualityTest, ThreeShardsMatchUnshardedAnswers) {
 // tee is the one deliberate difference — then a replicate=true checksum
 // leg proves the tee never changes results either.
 
-TEST(ShardsOneDifferentialTest, BitIdenticalToUnshardedAcross21Seeds) {
+class ShardsOneDifferentialTest
+    : public ::testing::TestWithParam<MergeMode> {};
+
+TEST_P(ShardsOneDifferentialTest, BitIdenticalToUnshardedAcross21Seeds) {
   const uint32_t kFreshness = 4;
   const Dataset dataset = SmallDataset(0.25, kFreshness);
 
-  auto unsharded = MakeHybridEngine(TidbConfig());
+  auto unsharded = MakeHybridEngine(WithMergeMode(TidbConfig(), GetParam()));
   ASSERT_TRUE(LoadDataset(dataset, PhysicalSchema::kSemiIndexes,
                           unsharded.get())
                   .ok());
@@ -233,7 +243,7 @@ TEST(ShardsOneDifferentialTest, BitIdenticalToUnshardedAcross21Seeds) {
   config.shards = 1;
   config.seed = kDatagenSeed;
   config.plan = MakeSsbShardPlan(kFreshness);
-  config.node = TidbConfig();
+  config.node = WithMergeMode(TidbConfig(), GetParam());
   config.replicate = false;
   auto sharded = std::make_unique<ShardedEngine>(config);
   ASSERT_TRUE(LoadDataset(dataset, PhysicalSchema::kSemiIndexes,
@@ -268,11 +278,11 @@ TEST(ShardsOneDifferentialTest, BitIdenticalToUnshardedAcross21Seeds) {
   }
 }
 
-TEST(ShardsOneDifferentialTest, ReplicationTeeDoesNotChangeAnswers) {
+TEST_P(ShardsOneDifferentialTest, ReplicationTeeDoesNotChangeAnswers) {
   const uint32_t kFreshness = 4;
   const Dataset dataset = SmallDataset(0.25, kFreshness);
 
-  auto unsharded = MakeHybridEngine(TidbConfig());
+  auto unsharded = MakeHybridEngine(WithMergeMode(TidbConfig(), GetParam()));
   ASSERT_TRUE(LoadDataset(dataset, PhysicalSchema::kSemiIndexes,
                           unsharded.get())
                   .ok());
@@ -281,7 +291,7 @@ TEST(ShardsOneDifferentialTest, ReplicationTeeDoesNotChangeAnswers) {
   config.shards = 1;
   config.seed = kDatagenSeed;
   config.plan = MakeSsbShardPlan(kFreshness);
-  config.node = TidbConfig();
+  config.node = WithMergeMode(TidbConfig(), GetParam());
   config.replicate = true;
   auto sharded = std::make_unique<ShardedEngine>(config);
   ASSERT_TRUE(LoadDataset(dataset, PhysicalSchema::kSemiIndexes,
@@ -303,6 +313,10 @@ TEST(ShardsOneDifferentialTest, ReplicationTeeDoesNotChangeAnswers) {
   EXPECT_EQ(engine->shard_replica(0)->Lag(), 0u);
 }
 
+INSTANTIATE_TEST_SUITE_P(MergeModes, ShardsOneDifferentialTest,
+                         ::testing::ValuesIn(kMergeModes),
+                         MergeModeParamName);
+
 // ---------------------------------------------------------------------
 // Cross-shard 2PC: a concurrent transfer storm over a hash-partitioned
 // account table must conserve the total balance, and the crash matrix
@@ -317,10 +331,11 @@ DatabaseSpec AcctSpec() {
   return spec;
 }
 
-std::unique_ptr<ShardedEngine> MakeAcctEngine(uint32_t shards,
-                                              int accounts) {
+std::unique_ptr<ShardedEngine> MakeAcctEngine(uint32_t shards, int accounts,
+                                              MergeMode mode) {
   ShardedEngineConfig config;
   config.shards = shards;
+  config.node.merge_mode = mode;
   config.seed = 42;
   config.plan = KvPlan();
   config.fact_table = "acct";
@@ -385,10 +400,17 @@ int64_t TotalBalance(ShardedEngine* engine, const IndexInfo* pk,
   return total;
 }
 
-TEST(TwoPcStormTest, ConcurrentTransfersConserveTotalBalance) {
+// The cross-shard cases run under both merge modes of the shard nodes:
+// in bitmap mode every commit also appends column versions on each shard
+// it touched.
+class TwoPcStormTest : public ::testing::TestWithParam<MergeMode> {};
+class ShardedRetryTest : public ::testing::TestWithParam<MergeMode> {};
+class TwoPcCrashMatrixTest : public ::testing::TestWithParam<MergeMode> {};
+
+TEST_P(TwoPcStormTest, ConcurrentTransfersConserveTotalBalance) {
   const int kAccounts = 64;
   const uint32_t kShards = 4;
-  auto engine = MakeAcctEngine(kShards, kAccounts);
+  auto engine = MakeAcctEngine(kShards, kAccounts, GetParam());
   obs::MetricsRegistry metrics;
   obs::Observability obs;
   obs.metrics = &metrics;
@@ -467,9 +489,9 @@ int64_t BalanceOf(ShardedEngine* engine, const IndexInfo* pk, int64_t key) {
 // the outcome reports the deterministic backoff schedule, and the
 // txn.retry.backoff_seconds gauge reports the engine's total, whichever
 // shard's manager last installed its probe.
-TEST(ShardedRetryTest, BackoffGaugeCountsShardedRetries) {
+TEST_P(ShardedRetryTest, BackoffGaugeCountsShardedRetries) {
   const int kAccounts = 16;
-  auto engine = MakeAcctEngine(2, kAccounts);
+  auto engine = MakeAcctEngine(2, kAccounts, GetParam());
   obs::MetricsRegistry metrics;
   obs::Observability obs;
   obs.metrics = &metrics;
@@ -501,7 +523,7 @@ TEST(ShardedRetryTest, BackoffGaugeCountsShardedRetries) {
               outcome.backoff_s, 1e-9 * kAborts);
 }
 
-TEST(TwoPcCrashMatrixTest, EveryCrashPointRecoversConsistently) {
+TEST_P(TwoPcCrashMatrixTest, EveryCrashPointRecoversConsistently) {
   struct Case {
     TwoPcCrash crash;
     bool commits;  // decision the recovery must reach
@@ -514,7 +536,7 @@ TEST(TwoPcCrashMatrixTest, EveryCrashPointRecoversConsistently) {
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(static_cast<int>(c.crash.point));
-    auto engine = MakeAcctEngine(3, 32);
+    auto engine = MakeAcctEngine(3, 32, GetParam());
     const IndexInfo* pk = engine->primary_catalog()->GetIndex("acct_pk");
     ASSERT_NE(pk, nullptr);
     const auto [from, to] = CrossShardPair(engine->router(), 32);
@@ -549,6 +571,16 @@ TEST(TwoPcCrashMatrixTest, EveryCrashPointRecoversConsistently) {
                     .status.ok());
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(MergeModes, TwoPcStormTest,
+                         ::testing::ValuesIn(kMergeModes),
+                         MergeModeParamName);
+INSTANTIATE_TEST_SUITE_P(MergeModes, ShardedRetryTest,
+                         ::testing::ValuesIn(kMergeModes),
+                         MergeModeParamName);
+INSTANTIATE_TEST_SUITE_P(MergeModes, TwoPcCrashMatrixTest,
+                         ::testing::ValuesIn(kMergeModes),
+                         MergeModeParamName);
 
 }  // namespace
 }  // namespace hattrick

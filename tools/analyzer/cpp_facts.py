@@ -129,7 +129,7 @@ class IterFact:
 
 class FunctionFacts:
     def __init__(self, qualname, cls, path, line):
-        self.qualname = qualname  # e.g. "BTree::CopyFrom"
+        self.qualname = qualname  # e.g. "BTree::Insert"
         self.cls = cls            # enclosing/qualifying class or None
         self.path = path
         self.line = line

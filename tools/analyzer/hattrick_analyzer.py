@@ -18,8 +18,8 @@ types — and runs four passes over the merged program:
                         merged with declared ACQUIRED_BEFORE /
                         ACQUIRED_AFTER and REQUIRES annotations. Any
                         cycle is reported with witness acquisition
-                        paths — the BTree::CopyFrom class of deadlock,
-                        caught before TSan ever runs. The
+                        paths — the two-directional peer-copy class
+                        of deadlock, caught before TSan ever runs. The
                         address-ordered-acquisition idiom (acquiring a
                         peer pair under an `if (this < &other)` branch)
                         is recognized and exempts the self-pair.

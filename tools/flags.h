@@ -17,10 +17,14 @@ namespace tools {
 /// against it.
 enum class FlagKind { kString, kInt, kDouble, kBool };
 
-/// One flag a tool accepts.
+/// One flag a tool accepts. An integer flag may declare the inclusive
+/// range [lo, hi] its value must lie in; Validate rejects a value outside
+/// it instead of clamping.
 struct FlagSpec {
   const char* name;
   FlagKind kind;
+  int lo = INT_MIN;
+  int hi = INT_MAX;
 };
 
 /// True when `s` cannot start a number: empty, or leading whitespace
@@ -67,10 +71,11 @@ inline bool ParseBoolFlag(const std::string& s, bool* out) {
 /// CLI tools (no external dependencies).
 ///
 /// Tools declare the flags they accept and call Validate before reading
-/// any: an unknown flag or a value that does not parse as its declared
-/// kind is an error, never a silent default. The typed getters parse
-/// strictly and return `fallback` when the flag is absent (or, for a
-/// value Validate would reject, when the caller skipped Validate).
+/// any: an unknown flag, a value that does not parse as its declared
+/// kind, or an integer outside its declared range is an error, never a
+/// silent default or clamp. The typed getters parse strictly and return
+/// `fallback` when the flag is absent (or, for a value Validate would
+/// reject, when the caller skipped Validate).
 class Flags {
  public:
   /// Parses argv; unknown positional arguments are collected in order.
@@ -114,6 +119,11 @@ class Flags {
           if (!ParseIntFlag(value, &i)) {
             return "--" + key + ": '" + value + "' is not an integer";
           }
+          if (i < spec->lo || i > spec->hi) {
+            return "--" + key + ": " + value + " is out of range [" +
+                   std::to_string(spec->lo) + ", " +
+                   std::to_string(spec->hi) + "]";
+          }
           break;
         case FlagKind::kDouble:
           if (!ParseDoubleFlag(value, &d)) {
@@ -144,21 +154,6 @@ class Flags {
     const auto it = values_.find(key);
     int v;
     return it != values_.end() && ParseIntFlag(it->second, &v) ? v : fallback;
-  }
-
-  /// GetInt clamped to [lo, hi] — for knobs with a valid range (e.g.
-  /// --dop, where 0 or a negative value would be meaningless).
-  int GetBoundedInt(const std::string& key, int fallback, int lo,
-                    int hi) const {
-    const int v = GetInt(key, fallback);
-    return v < lo ? lo : (v > hi ? hi : v);
-  }
-
-  /// GetInt for strictly positive knobs (e.g. --batch-size): 0 and
-  /// negative values are rejected in favor of `fallback`.
-  int GetPositiveInt(const std::string& key, int fallback) const {
-    const int v = GetInt(key, fallback);
-    return v < 1 ? fallback : v;
   }
 
   double GetDouble(const std::string& key, double fallback) const {

@@ -15,8 +15,9 @@
 //   hattrick_cli query --system=system-x --sf=10 --query=Q1.1 --explain
 //   hattrick_cli query --query=all --dop=4 --profile-out=/tmp/profiles.json
 //
-// Flags (an unknown flag or a value that does not parse as its kind is an
-// error: message on stderr, exit status 2):
+// Flags (an unknown flag, a value that does not parse as its kind or a
+// number outside its range is an error: message on stderr, exit status 2,
+// before any engine loads):
 //   --help      print usage and exit
 //   --system    postgres | postgres-rc | postgres-sr | postgres-sr-ra |
 //               system-x | tidb | tidb-dist            (default postgres)
@@ -29,22 +30,19 @@
 //   --seed      workload seed                          (default 7)
 //   --lines, --points, --max_clients   frontier options
 //   --threaded  use wall-clock threads instead of the simulator (point)
-//   --dop       intra-query parallelism per A-client   (default 1)
+//   --dop       intra-query parallelism per A-client, 1..64 (default 1)
 //   --batch-size  rows per column-vector batch in the vectorized
-//               executor (default 1024; values < 1 are rejected and
-//               fall back to the default)
+//               executor, >= 1                          (default 1024)
 //   --row-exec  row-at-a-time oracle executor instead of vectorized
 //               batches (same results and metered work; for A/B runs)
-//   --shards    shard count for --system=tidb-dist: a real N-shard
-//               engine with 2PC and per-shard replication (default:
-//               HATTRICK_SHARDS env, else 3; ignored by single-node
-//               systems)
+//   --shards    shard count for --system=tidb-dist, 1..64: a real
+//               N-shard engine with 2PC and per-shard replication
+//               (default 3; ignored by single-node systems)
 //   --merge-mode  eager | bitmap — hybrid engines' delta visibility:
 //               eager merges the delta before every analytical query
 //               (the paper's protocol), bitmap serves analytics from
 //               CSN-stamped version snapshots with background folds
-//               (default: HATTRICK_MERGE_MODE env, else eager; ignored
-//               by non-hybrid systems)
+//               (default eager; ignored by non-hybrid systems)
 //   --fault-profile  none | drop | duplicate | reorder | crash | delay |
 //               chaos — replication fault injection on the standby
 //               chains of postgres-sr, postgres-sr-ra and tidb-dist
@@ -75,7 +73,6 @@
 
 #include "bench/support.h"
 #include "common/rng.h"
-#include "exec/batch.h"
 #include "hattrick/transactions.h"
 #include "obs/trace.h"
 #include "tools/flags.h"
@@ -194,9 +191,9 @@ const std::vector<FlagSpec> kFlags = {
     {"measure", FlagKind::kDouble},     {"seed", FlagKind::kInt},
     {"lines", FlagKind::kInt},          {"points", FlagKind::kInt},
     {"max_clients", FlagKind::kInt},    {"max_a", FlagKind::kInt},
-    {"threaded", FlagKind::kBool},      {"dop", FlagKind::kInt},
-    {"batch-size", FlagKind::kInt},     {"row-exec", FlagKind::kBool},
-    {"shards", FlagKind::kInt},         {"merge-mode", FlagKind::kString},
+    {"threaded", FlagKind::kBool},      {"dop", FlagKind::kInt, 1, 64},
+    {"batch-size", FlagKind::kInt, 1},  {"row-exec", FlagKind::kBool},
+    {"shards", FlagKind::kInt, 1, 64},  {"merge-mode", FlagKind::kString},
     {"fault-profile", FlagKind::kString}, {"fault-seed", FlagKind::kInt},
     {"trace-out", FlagKind::kString},   {"metrics-out", FlagKind::kString},
     {"query", FlagKind::kString},       {"explain", FlagKind::kBool},
@@ -248,7 +245,7 @@ int Main(int argc, char** argv) {
     fault = std::move(parsed).value();
   }
 
-  MergeMode merge_mode = DefaultMergeMode();
+  MergeMode merge_mode = MergeMode::kEager;
   if (flags.Has("merge-mode")) {
     const std::string mode_name = flags.GetString("merge-mode", "eager");
     if (mode_name == "eager") {
@@ -261,10 +258,8 @@ int Main(int argc, char** argv) {
     }
   }
 
-  uint32_t shards = bench::DefaultShards();
-  if (flags.Has("shards")) {
-    shards = static_cast<uint32_t>(flags.GetBoundedInt("shards", 3, 1, 64));
-  }
+  const auto shards = static_cast<uint32_t>(
+      flags.GetInt("shards", static_cast<int>(bench::kDefaultShards)));
 
   std::printf("# system=%s sf=%.1f schema=%s\n",
               bench::EngineKindName(kind), sf, PhysicalSchemaName(schema));
@@ -288,12 +283,9 @@ int Main(int argc, char** argv) {
   base.warmup_seconds = flags.GetDouble("warmup", 0.25);
   base.measure_seconds = flags.GetDouble("measure", 1.0);
   base.seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
-  base.dop = flags.GetBoundedInt("dop", 1, 1, 64);
+  base.dop = flags.GetInt("dop", 1);
   base.vectorized = !flags.GetBool("row-exec", false);
-  if (flags.Has("batch-size")) {
-    base.batch_rows =
-        flags.GetPositiveInt("batch-size", static_cast<int>(kDefaultBatchRows));
-  }
+  base.batch_rows = flags.GetInt("batch-size", 0);
 
   if (mode == "point") {
     base.t_clients = flags.GetInt("t", 4);

@@ -42,6 +42,12 @@ type-resolved `unordered-iteration` pass of tools/analyzer/):
                             constructs through engine/engine_factory.h,
                             so engines stay swappable (and the sharded
                             engine slots in behind every caller).
+  env-read                  getenv / std::getenv / secure_getenv anywhere
+                            in the scanned trees (no allowlist). A run's
+                            design variant comes from its config and the
+                            tools' flags, never from a hidden process-wide
+                            environment default that could swap the
+                            measured program silently.
   allow-without-reason      a `lint:allow(...)` escape with no same-line
                             justification after the closing paren. Every
                             suppression must say why, where it is, or the
@@ -165,6 +171,13 @@ RULES = [
         lambda rel: not (rel.startswith("src/engine/")
                          or rel.startswith("src/shard/")),
         use_raw=True,
+    ),
+    Rule(
+        "env-read",
+        r"\b(?:secure_)?getenv\b",
+        "environment read; take the setting from a config field or a "
+        "validated command-line flag instead",
+        lambda rel: True,
     ),
     Rule(
         "allow-without-reason",
