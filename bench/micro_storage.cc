@@ -1,12 +1,18 @@
 // Micro-benchmarks of the storage and transaction substrates
-// (google-benchmark): B+-tree operations, MVCC row store, columnar
-// scans, key encoding, WAL encode/decode, and data generation.
+// (google-benchmark): B+-tree operations, MVCC row store (point reads,
+// heap scans and index-style rid visits over LINEORDER-shaped rows),
+// columnar scans, key encoding, WAL encode/decode, and data generation.
+
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "common/key_encoding.h"
 #include "common/rng.h"
 #include "hattrick/datagen.h"
+#include "hattrick/hattrick_schema.h"
 #include "storage/btree.h"
 #include "storage/column_table.h"
 #include "storage/row_table.h"
@@ -88,26 +94,65 @@ void BM_RowTableRead(benchmark::State& state) {
 }
 BENCHMARK(BM_RowTableRead);
 
+/// A row table holding `n` generated LINEORDER rows (17 cells, strings
+/// included), each a single load version committed at ts 1.
+std::unique_ptr<RowTable> LineorderTable(int64_t n) {
+  DatagenConfig config;
+  config.scale_factor = 1.0;
+  config.lineorders_per_sf = static_cast<size_t>(n);
+  const Dataset dataset = GenerateDataset(config);
+  auto table = std::make_unique<RowTable>(LineorderSchema());
+  for (const Row& row : dataset.lineorder) table->Insert(row, 1, nullptr);
+  return table;
+}
+
+/// The Q1 cells a heap-scan visitor touches per row.
+double Q1Cells(const Row& row) {
+  return row[lo::kExtendedPrice].AsDouble() *
+             static_cast<double>(row[lo::kDiscount].AsInt()) +
+         static_cast<double>(row[lo::kQuantity].AsInt());
+}
+
 void BM_RowTableScan(benchmark::State& state) {
-  RowTable table(
-      Schema({{"k", DataType::kInt64}, {"v", DataType::kDouble}}));
-  const int64_t n = state.range(0);
-  for (int64_t i = 0; i < n; ++i) {
-    table.Insert(Row{i, static_cast<double>(i)}, 1, nullptr);
+  const std::unique_ptr<RowTable> table = LineorderTable(state.range(0));
+  const size_t rows = table->NumSlots();
+  for (auto _ : state) {
+    double sum = 0;
+    table->Scan(1,
+                [&](Rid, const Row& row) {
+                  sum += Q1Cells(row);
+                  return true;
+                },
+                nullptr);
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * rows);
+}
+BENCHMARK(BM_RowTableScan)->Arg(10000)->Arg(100000);
+
+/// An index range scan's fetch: every eighth rid of the table in a
+/// shuffled order (index key order is not rid order), visited in place.
+void BM_RowTableVisitRids(benchmark::State& state) {
+  const std::unique_ptr<RowTable> table = LineorderTable(state.range(0));
+  std::vector<Rid> rids;
+  for (Rid rid = 0; rid < table->NumSlots(); rid += 8) rids.push_back(rid);
+  Rng rng(6);
+  for (size_t i = rids.size(); i > 1; --i) {
+    std::swap(rids[i - 1], rids[rng.Next() % i]);
   }
   for (auto _ : state) {
     double sum = 0;
-    table.Scan(1,
-               [&](Rid, const Row& row) {
-                 sum += row[1].AsDouble();
-                 return true;
-               },
-               nullptr);
+    table->VisitRids(1, rids,
+                     [&](Rid, const Row& row) {
+                       sum += Q1Cells(row);
+                       return true;
+                     },
+                     nullptr);
     benchmark::DoNotOptimize(sum);
   }
-  state.SetItemsProcessed(state.iterations() * n);
+  state.SetItemsProcessed(state.iterations() * rids.size());
 }
-BENCHMARK(BM_RowTableScan)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_RowTableVisitRids)->Arg(10000)->Arg(100000);
 
 void BM_VersionChainTraversal(benchmark::State& state) {
   // Reading an old snapshot must walk past `depth` newer versions.

@@ -143,7 +143,8 @@ struct Batch {
 
   /// True when `row`'s cell types match this batch's column types.
   /// Always true for an empty batch (AppendRow re-infers types then).
-  /// Row→batch adapters use this to cut a batch early at a type skew —
+  /// Operators that batch materialized rows (values scans, aggregation
+  /// output) use this to cut a batch early at a type skew —
   /// heterogeneously typed inputs (values scans in tests) stay correct,
   /// just in shorter batches.
   bool TypesMatch(const Row& row) const {

@@ -68,13 +68,12 @@ struct ExecContext {
 };
 
 /// Physical operator. The primary interface is batch-at-a-time
-/// (NextBatch, column-vector batches with selection vectors); the
+/// (NextBatch, column-vector batches with selection vectors), and every
+/// operator implements it natively, index range scans included. The
 /// row-at-a-time Volcano interface (Next) is retained as the
-/// differential-testing oracle and for row-native operators (index range
-/// scans), which get NextBatch from the base-class adapter. Scans
-/// stream; blocking operators (hash join build, aggregation, sort)
-/// materialize internally, draining their children in the mode
-/// ExecContext::vectorized selects.
+/// differential-testing oracle. Scans stream; blocking operators (hash
+/// join build, aggregation, sort) materialize internally, draining their
+/// children in the mode ExecContext::vectorized selects.
 class Operator {
  public:
   virtual ~Operator() = default;
@@ -86,16 +85,8 @@ class Operator {
   virtual bool Next(ExecContext* ctx, Row* out) = 0;
 
   /// Produces the next batch (>= 1 active row) into *out; returns false
-  /// when exhausted. The base implementation adapts a row-native
-  /// operator by pulling up to ctx->batch_rows rows through Next.
-  virtual bool NextBatch(ExecContext* ctx, Batch* out);
-
- private:
-  // Row the base NextBatch adapter read but could not append because its
-  // cell types differ from the open batch's columns; it opens the next
-  // batch instead.
-  Row pending_row_;
-  bool has_pending_row_ = false;
+  /// when exhausted.
+  virtual bool NextBatch(ExecContext* ctx, Batch* out) = 0;
 };
 
 using OperatorPtr = std::unique_ptr<Operator>;

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
+#include <limits>
+#include <span>
 
 #include "common/key_encoding.h"
 #include "exec/op_profiler.h"
@@ -30,6 +33,76 @@ bool MatchesPushdowns(const Row& row, const ScanSpec& spec) {
   return true;
 }
 
+/// A row-store scan's pushdowns and projection, compiled once against the
+/// table schema for the batch paths. Each range test reads its cell by
+/// the column's declared type: an int64 cell converts with
+/// static_cast<double>, which is what Value::AsDouble does, so every test
+/// decides exactly like MatchesPushdowns. Projected cells go straight
+/// into the batch's typed vectors (double cells keep AsDouble's int
+/// promotion, like ColumnVector::PushValue).
+class RowBatchWriter {
+ public:
+  RowBatchWriter(const Schema& schema, const ScanSpec& spec)
+      : str_in_(spec.str_in), projection_(spec.projection) {
+    for (const NumRange& r : spec.ranges) {
+      if (schema.column(r.column).type == DataType::kInt64) {
+        int_ranges_.push_back(r);
+      } else {
+        double_ranges_.push_back(r);
+      }
+    }
+    types_.reserve(projection_.size());
+    for (size_t col : projection_) types_.push_back(schema.column(col).type);
+  }
+
+  const std::vector<DataType>& types() const { return types_; }
+
+  bool Matches(const Row& row) const {
+    for (const NumRange& r : int_ranges_) {
+      const double v = static_cast<double>(row[r.column].AsInt());
+      if (v < r.lo || v > r.hi) return false;
+    }
+    for (const NumRange& r : double_ranges_) {
+      const double v = row[r.column].AsDouble();
+      if (v < r.lo || v > r.hi) return false;
+    }
+    for (const StrIn& p : str_in_) {
+      const std::string& v = row[p.column].AsString();
+      if (std::find(p.values.begin(), p.values.end(), v) == p.values.end()) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  /// Appends `row`'s projected cells as one row of `out`.
+  void Append(const Row& row, Batch* out) const {
+    for (size_t j = 0; j < projection_.size(); ++j) {
+      const Value& cell = row[projection_[j]];
+      ColumnVector& dst = out->cols[j];
+      switch (types_[j]) {
+        case DataType::kInt64:
+          dst.ints.push_back(cell.AsInt());
+          break;
+        case DataType::kDouble:
+          dst.doubles.push_back(cell.AsDouble());
+          break;
+        case DataType::kString:
+          dst.strings.push_back(cell.AsString());
+          break;
+      }
+    }
+    ++out->rows;
+  }
+
+ private:
+  std::vector<NumRange> int_ranges_;
+  std::vector<NumRange> double_ranges_;
+  std::vector<StrIn> str_in_;
+  std::vector<size_t> projection_;
+  std::vector<DataType> types_;
+};
+
 /// Scan over an MVCC row table.
 ///
 /// Row mode: the first Next() materializes the projected columns of the
@@ -38,18 +111,17 @@ bool MatchesPushdowns(const Row& row, const ScanSpec& spec) {
 ///
 /// Batch mode: Open() only positions a slot cursor; NextBatch fills
 /// column vectors by covering the slot space with batch-sized ScanRange
-/// chunks. RowTable::ScanRange guarantees a disjoint cover meters exactly
-/// like one Scan, and output_rows is charged per emitted row either way,
-/// so both modes charge identical WorkMeter totals.
+/// chunks, testing and appending through the compiled RowBatchWriter.
+/// RowTable::ScanRange guarantees a disjoint cover meters exactly like
+/// one Scan, and output_rows is charged per emitted row either way, so
+/// both modes charge identical WorkMeter totals.
 class RowScanOp final : public Operator {
  public:
   RowScanOp(const RowTable* table, Ts snapshot, ScanSpec spec)
-      : table_(table), snapshot_(snapshot), spec_(std::move(spec)) {
-    types_.reserve(spec_.projection.size());
-    for (size_t col : spec_.projection) {
-      types_.push_back(table_->schema().column(col).type);
-    }
-  }
+      : table_(table),
+        snapshot_(snapshot),
+        spec_(std::move(spec)),
+        writer_(table_->schema(), spec_) {}
 
   void Open(ExecContext* ctx) override {
     prof_.OpenBegin(ctx, "RowScan", "table=" + spec_.table);
@@ -103,15 +175,9 @@ class RowScanOp final : public Operator {
   }
 
   bool NextBatchImpl(ExecContext* ctx, Batch* out) {
-    out->ResetTypes(types_);
-    size_t emitted = 0;
+    out->ResetTypes(writer_.types());
     const auto visit = [&](Rid, const Row& row) {
-      if (!MatchesPushdowns(row, spec_)) return true;
-      for (size_t j = 0; j < spec_.projection.size(); ++j) {
-        out->cols[j].PushValue(row[spec_.projection[j]]);
-      }
-      ++out->rows;
-      ++emitted;
+      if (writer_.Matches(row)) writer_.Append(row, out);
       return true;
     };
     while (out->rows < ctx->batch_rows) {
@@ -126,7 +192,7 @@ class RowScanOp final : public Operator {
       table_->ScanRange(snapshot_, cursor_, end, visit, ctx->meter);
       cursor_ = end;
     }
-    if (ctx->meter != nullptr) ctx->meter->output_rows += emitted;
+    if (ctx->meter != nullptr) ctx->meter->output_rows += out->rows;
     return out->rows > 0;
   }
 
@@ -154,7 +220,7 @@ class RowScanOp final : public Operator {
   const RowTable* table_;
   Ts snapshot_;
   ScanSpec spec_;
-  std::vector<DataType> types_;
+  RowBatchWriter writer_;
   std::vector<Row> rows_;
   size_t pos_ = 0;
   bool materialized_ = false;
@@ -725,10 +791,27 @@ class ColumnScanOp final : public Operator {
   OpProfiler prof_;
 };
 
+/// An index key bound: a finite double in the int64 range truncates as
+/// static_cast does; anything else saturates (NaN, which no range test
+/// can fail, to `nan_value`), so no conversion is undefined.
+int64_t IndexKeyBound(double v, int64_t nan_value) {
+  constexpr double kTwoTo63 = 9223372036854775808.0;
+  if (std::isnan(v)) return nan_value;
+  if (v < -kTwoTo63) return std::numeric_limits<int64_t>::min();
+  if (v >= kTwoTo63) return std::numeric_limits<int64_t>::max();
+  return static_cast<int64_t>(v);
+}
+
 /// Index range scan: walks a B+-tree index over [lo, hi] of the hinted
 /// range predicate, fetches visible rows, applies the residual predicates
 /// and projects. Used when a query plan hints an index that exists in the
 /// physical schema (Figure 6b, "all indexes").
+///
+/// Row mode reads each candidate with RowTable::Read. Batch mode visits
+/// the candidates in place with RowTable::VisitRids, which meters each
+/// rid exactly like Read, and closes a batch as soon as ctx->batch_rows
+/// rows have passed the residual predicate, so its batches are the row
+/// mode's output cut into batch_rows-row pieces.
 class IndexRangeScanOp final : public Operator {
  public:
   IndexRangeScanOp(const RowTable* table, const IndexInfo* index,
@@ -737,16 +820,26 @@ class IndexRangeScanOp final : public Operator {
         index_(index),
         snapshot_(snapshot),
         spec_(std::move(spec)),
-        bounds_(bounds) {}
+        bounds_(bounds),
+        writer_(table_->schema(), spec_) {}
 
   void Open(ExecContext* ctx) override {
     prof_.OpenBegin(ctx, "IndexScan",
                     "table=" + spec_.table + " index=" + spec_.index_hint);
-    // Materialize candidate rids from the index (bounded range).
+    // Materialize candidate rids from the index (bounded range; an upper
+    // bound at the top of the key space scans to the end of the tree).
+    rids_.clear();
+    pos_ = 0;
     std::string lo;
     std::string hi;
-    key::EncodeInt64(static_cast<int64_t>(bounds_.lo), &lo);
-    key::EncodeInt64(static_cast<int64_t>(bounds_.hi) + 1, &hi);
+    key::EncodeInt64(IndexKeyBound(bounds_.lo,
+                                   std::numeric_limits<int64_t>::min()),
+                     &lo);
+    const int64_t hi_key =
+        IndexKeyBound(bounds_.hi, std::numeric_limits<int64_t>::max());
+    if (hi_key < std::numeric_limits<int64_t>::max()) {
+      key::EncodeInt64(hi_key + 1, &hi);
+    }
     index_->tree->ScanRange(
         lo, hi,
         [&](const std::string&, uint64_t rid) {
@@ -754,7 +847,6 @@ class IndexRangeScanOp final : public Operator {
           return true;
         },
         ctx->meter);
-    pos_ = 0;
     prof_.OpenEnd(ctx);
   }
 
@@ -775,12 +867,29 @@ class IndexRangeScanOp final : public Operator {
     });
   }
 
+  bool NextBatch(ExecContext* ctx, Batch* out) override {
+    return prof_.NextBatch(ctx, out, [&] {
+      out->ResetTypes(writer_.types());
+      pos_ += table_->VisitRids(
+          snapshot_, std::span<const Rid>(rids_).subspan(pos_),
+          [&](Rid, const Row& row) {
+            if (!writer_.Matches(row)) return true;
+            writer_.Append(row, out);
+            return out->rows < ctx->batch_rows;
+          },
+          ctx->meter);
+      if (ctx->meter != nullptr) ctx->meter->output_rows += out->rows;
+      return out->rows > 0;
+    });
+  }
+
  private:
   const RowTable* table_;
   const IndexInfo* index_;
   Ts snapshot_;
   ScanSpec spec_;
   NumRange bounds_;
+  RowBatchWriter writer_;
   std::vector<Rid> rids_;
   size_t pos_ = 0;
   OpProfiler prof_;

@@ -1,7 +1,5 @@
 #include "storage/row_table.h"
 
-#include <algorithm>
-#include <cassert>
 
 namespace hattrick {
 
@@ -222,38 +220,6 @@ Ts RowTable::LatestVersionTs(Rid rid) const {
   if (rid >= slots_.size()) return 0;
   return mvcc::NewestCommittedFullCts(
       slots_[rid].head.load(std::memory_order_acquire));
-}
-
-void RowTable::Scan(Ts snapshot,
-                    const std::function<bool(Rid, const Row&)>& visitor,
-                    WorkMeter* meter) const {
-  ScanRange(snapshot, 0, kMaxTs, visitor, meter);
-}
-
-void RowTable::ScanRange(Ts snapshot, Rid begin, Rid end,
-                         const std::function<bool(Rid, const Row&)>& visitor,
-                         WorkMeter* meter) const {
-  SharedReaderLock lock(&latch_);
-  end = std::min<Rid>(end, slots_.size());
-  Row folded;  // written only for rows with deltas to fold
-  for (Rid rid = begin; rid < end; ++rid) {
-    const VersionChain& chain = slots_[rid];
-    const VersionNode* head = chain.head.load(std::memory_order_acquire);
-    // A heap scan reads every version physically present in the slot
-    // (dead-tuple bloat, the PostgreSQL behaviour Vacuum exists to fix);
-    // meter the whole chain, not just the hops to the visible version.
-    if (meter != nullptr) {
-      meter->version_hops += chain.length.load(std::memory_order_relaxed);
-    }
-    // Zero-copy: a delta-free visible version reaches the visitor as a
-    // reference into its node, kept alive by `lock` until the visit ends.
-    const Row* row =
-        mvcc::ResolveVisible(head, snapshot, &folded, nullptr, nullptr);
-    if (row != nullptr) {
-      if (meter != nullptr) ++meter->rows_read;
-      if (!visitor(rid, *row)) return;
-    }
-  }
 }
 
 size_t RowTable::NumSlots() const {

@@ -1,9 +1,10 @@
 #ifndef HATTRICK_STORAGE_ROW_TABLE_H_
 #define HATTRICK_STORAGE_ROW_TABLE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <functional>
+#include <span>
 #include <vector>
 
 #include "common/mutex.h"
@@ -129,9 +130,10 @@ class RowTable {
   /// version carries no deltas: the reference points into the version
   /// node and is valid only until the visitor returns (copy what must
   /// outlive the visit).
-  void Scan(Ts snapshot,
-            const std::function<bool(Rid, const Row&)>& visitor,
-            WorkMeter* meter) const;
+  template <typename Visitor>
+  void Scan(Ts snapshot, Visitor&& visitor, WorkMeter* meter) const {
+    ScanRange(snapshot, 0, kMaxTs, visitor, meter);
+  }
 
   /// Like Scan but restricted to rids in [begin, end) — the row-store
   /// morsel primitive for parallel heap scans. Metering per rid is
@@ -139,9 +141,75 @@ class RowTable {
   /// length, rows_read per visible row), so a full cover of disjoint
   /// ranges meters exactly like one Scan. `end` past the slot count is
   /// clamped.
-  void ScanRange(Ts snapshot, Rid begin, Rid end,
-                 const std::function<bool(Rid, const Row&)>& visitor,
-                 WorkMeter* meter) const;
+  ///
+  /// The visitor is any callable `bool(Rid, const Row&)`, inlined into
+  /// the loop. A head that is a committed full version at or below the
+  /// snapshot, the chain of every row nobody updated, is resolved inline
+  /// (mvcc::CommittedHeadAt); any other head goes through
+  /// mvcc::ResolveVisible. Both give the same row, and neither meters:
+  /// the loop sums the chain lengths and visible rows itself and charges
+  /// them once per call, so the totals equal per-row charging.
+  template <typename Visitor>
+  void ScanRange(Ts snapshot, Rid begin, Rid end, Visitor&& visitor,
+                 WorkMeter* meter) const {
+    uint64_t hops = 0;
+    uint64_t rows = 0;
+    {
+      SharedReaderLock lock(&latch_);
+      end = std::min<Rid>(end, slots_.size());
+      Row folded;  // written only for rows with deltas to fold
+      for (Rid rid = begin; rid < end; ++rid) {
+        const mvcc::VersionChain& chain = slots_[rid];
+        const mvcc::VersionNode* head =
+            chain.head.load(std::memory_order_acquire);
+        // A heap scan reads every version physically present in the slot
+        // (dead-tuple bloat, the PostgreSQL behaviour Vacuum exists to
+        // fix); meter the whole chain, not just the hops to the visible
+        // version.
+        hops += chain.length.load(std::memory_order_relaxed);
+        // Zero-copy: a delta-free visible version reaches the visitor as
+        // a reference into its node, kept alive by `lock` until the visit
+        // ends.
+        const Row* row = mvcc::CommittedHeadAt(head, snapshot);
+        if (row == nullptr) {
+          row = mvcc::ResolveVisible(head, snapshot, &folded, nullptr,
+                                     nullptr);
+          if (row == nullptr) continue;
+        }
+        ++rows;
+        if (!visitor(rid, *row)) break;
+      }
+    }
+    if (meter != nullptr) {
+      meter->version_hops += hops;
+      meter->rows_read += rows;
+    }
+  }
+
+  /// Visits the rows of `rids`, in order, each as Read would see it at
+  /// `snapshot` but without a copy (the reference is valid only until the
+  /// visitor returns); rids with no visible version, or out of range, are
+  /// skipped. The latch is held shared for the whole visit, with the same
+  /// rules for the visitor as Scan. Returns the number of rids consumed:
+  /// all of them, or up to and including the one whose visit returned
+  /// false. Each consumed rid is metered exactly like Read, walk hops and
+  /// all.
+  template <typename Visitor>
+  size_t VisitRids(Ts snapshot, std::span<const Rid> rids, Visitor&& visitor,
+                   WorkMeter* meter) const {
+    SharedReaderLock lock(&latch_);
+    Row folded;
+    size_t i = 0;
+    while (i < rids.size()) {
+      const Rid rid = rids[i++];
+      if (rid >= slots_.size()) continue;
+      const Row* row = mvcc::ResolveVisible(
+          slots_[rid].head.load(std::memory_order_acquire), snapshot,
+          &folded, nullptr, meter);
+      if (row != nullptr && !visitor(rid, *row)) break;
+    }
+    return i;
+  }
 
   /// Number of slots (including rows whose newest version is a delete).
   size_t NumSlots() const;

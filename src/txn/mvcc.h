@@ -425,6 +425,19 @@ inline const Row* ResolveVisible(const VersionNode* head, Ts snapshot,
   return scratch;
 }
 
+/// ResolveVisible's answer when `head` is a committed full version with
+/// cts <= `snapshot`, the chain of every row nobody has updated since:
+/// that walk visits the head alone and returns its payload in place.
+/// Returns nullptr for any other head (pending, aborted, delta, too new),
+/// whose caller then runs ResolveVisible itself.
+inline const Row* CommittedHeadAt(const VersionNode* head, Ts snapshot) {
+  if (head != nullptr && StatusOf(head) == VersionStatus::kCommitted &&
+      head->cts.load(std::memory_order_relaxed) <= snapshot) {
+    return &head->payload;
+  }
+  return nullptr;
+}
+
 /// ResolveVisible into an owned row: `*out` receives the visible version
 /// (copied or folded). Returns false if no version is visible.
 inline bool FoldVisible(const VersionNode* head, Ts snapshot, Row* out,

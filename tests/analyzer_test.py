@@ -87,6 +87,15 @@ class UnpinnedSnapshotPassTest(unittest.TestCase):
         self.assertEqual([f.line for f in findings], [15])
         self.assertIn("RowTable::AnyPending ", findings[0].message)
 
+    def test_member_template_visitor_needs_the_latch(self):
+        # Chain reads in in-class member templates (RowTable::ScanRange's
+        # shape) are checked like any member: latched is silent, the
+        # unlatched twin fires.
+        findings = analyze(["src/storage/template_visitor_bad.h"])
+        self.assertEqual({f.rule for f in findings}, {"unpinned-snapshot"})
+        self.assertEqual([f.line for f in findings], [26])
+        self.assertIn("RowTable::ScanUnlatched", findings[0].message)
+
     def test_pin_region_is_path_scoped(self):
         # The identical file outside src/engine|shard|storage is silent.
         with tempfile.TemporaryDirectory() as tmp:

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -787,13 +788,92 @@ TEST_F(ScanTest, ColumnScanBatchPrunesLikeRowOracle) {
 }
 
 TEST_F(ScanTest, IndexScanBatchMatchesRowOracle) {
-  // Index range scans stay row-native; this exercises the base-class
-  // row-to-batch adapter end to end.
   RowDataSource source(&catalog_, 1);
   ScanSpec spec = BaseSpec();
   spec.ranges = {{0, 50, 400}};
   spec.index_hint = "t_k";
   ExpectBatchMatchesRowOracle([&] { return source.Scan(spec); });
+}
+
+// The native index batch path skips candidates the snapshot cannot see
+// (rows created later, and an update above it) and rows the residual
+// rejects, metering each candidate exactly like the row path's Read.
+TEST_F(ScanTest, IndexScanBatchSkipsInvisibleAndRejectedRows) {
+  IndexInfo* index = catalog_.GetIndex("t_k");
+  for (int i = 0; i < 40; ++i) {
+    const Row row{int64_t{100 + i}, -1.0, std::string("late")};
+    const Rid rid = table_->Insert(row, 5, nullptr);
+    index->tree->Insert(index->KeyFor(row, rid), rid, nullptr);
+  }
+  ASSERT_TRUE(
+      table_->AddVersion(120, Row{int64_t{120}, 0.0, std::string("even")}, 5,
+                         nullptr)
+          .ok());
+  RowDataSource source(&catalog_, 1);
+  ScanSpec spec = BaseSpec();
+  spec.ranges = {{0, 90, 160}};
+  spec.str_in = {{2, {"odd", "late"}}};
+  spec.index_hint = "t_k";
+  ExpectBatchMatchesRowOracle([&] { return source.Scan(spec); });
+}
+
+// Opening a scan again restarts it: the same rows and the same metered
+// work, in both modes (an index scan once kept its old candidates and
+// emitted every row twice).
+TEST_F(ScanTest, ReopenedScansRepeatTheirOutput) {
+  RowDataSource source(&catalog_, 1);
+  for (const char* hint : {"", "t_k"}) {
+    for (const bool vectorized : {false, true}) {
+      SCOPED_TRACE(std::string("hint=") + hint +
+                   (vectorized ? " batch" : " row"));
+      ScanSpec spec = BaseSpec();
+      spec.ranges = {{0, 10, 30}};
+      spec.index_hint = hint;
+      OperatorPtr op = source.Scan(spec);
+      WorkMeter first_meter;
+      WorkMeter second_meter;
+      ExecContext ctx;
+      ctx.vectorized = vectorized;
+      ctx.batch_rows = 7;
+      ctx.meter = &first_meter;
+      const std::vector<Row> first = Collect(op.get(), &ctx);
+      ctx.meter = &second_meter;
+      const std::vector<Row> second = Collect(op.get(), &ctx);
+      EXPECT_EQ(first.size(), 21u);
+      EXPECT_EQ(second, first);
+      ExpectSameMeter(second_meter, first_meter);
+    }
+  }
+}
+
+// Index bounds outside the int64 key space (unbounded, huge or NaN)
+// scan to the end of the key space instead of converting out of range;
+// the results equal the sequential scan's.
+TEST_F(ScanTest, IndexScanWithUnboundedRange) {
+  RowDataSource source(&catalog_, 1);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const NumRange ranges[] = {{0, 2400, kInf},
+                             {0, 2400, 1e300},
+                             {0, 2400, 9223372036854775807.0},
+                             {0, -kInf, 20},
+                             {0, kNaN, 20},
+                             {0, 2400, kNaN},
+                             {0, 2400, -kInf}};
+  for (const NumRange& range : ranges) {
+    SCOPED_TRACE("lo=" + std::to_string(range.lo) +
+                 " hi=" + std::to_string(range.hi));
+    ScanSpec seq = BaseSpec();
+    seq.ranges = {range};
+    ScanSpec idx = seq;
+    idx.index_hint = "t_k";
+    WorkMeter meter;
+    const std::vector<Row> want = RunPlan(source.Scan(seq));
+    const std::vector<Row> got = RunPlan(source.Scan(idx), &meter);
+    EXPECT_EQ(got, want);
+    EXPECT_GT(meter.index_nodes, 0u);
+    ExpectBatchMatchesRowOracle([&] { return source.Scan(idx); });
+  }
 }
 
 TEST_F(ScanTest, FullPlanOverColumnScanMatchesRowOracle) {

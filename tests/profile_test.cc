@@ -3,6 +3,9 @@
 // three engine designs, row vs batch execution, and serial vs parallel
 // plans, the profile's root rows_out must equal the query's result rows,
 // and turning profiling on must not change results or metered work.
+// Row-store index scans batch natively: at any batch width their
+// batches must cut the row-mode output without changing any other
+// profile field or meter.
 
 #include <cmath>
 #include <string>
@@ -10,11 +13,14 @@
 
 #include <gtest/gtest.h>
 
+#include "common/key_encoding.h"
+#include "common/rng.h"
 #include "engine/hybrid_engine.h"
 #include "engine/isolated_engine.h"
 #include "engine/shared_engine.h"
 #include "hattrick/datagen.h"
 #include "hattrick/queries.h"
+#include "hattrick/transactions.h"
 #include "obs/plan_profile.h"
 #include "tests/merge_modes.h"
 
@@ -230,6 +236,131 @@ TEST_F(ProfileTest, ColumnScanReportsBlocksAndSnapshotLanes) {
           << node.detail;
     }
     EXPECT_TRUE(found_scan);
+  }
+}
+
+// The row-store Q1 flight reads LINEORDER through the orderdate index,
+// whose NextBatch visits candidates natively. Sessions opened before a
+// burst of new orders leave index entries whose rows the snapshot cannot
+// see, and Q1's discount/quantity residual rejects most visible ones. At
+// batch widths 1, 7 and 1024 the results, every meter and every profile
+// field must equal the row-mode run, apart from the batch counters: the
+// IndexScan's calls/batches (one per batch, each full but the last) and
+// every node's `batches` (row mode produces none).
+TEST(IndexScanBatchParityTest, Q1MatchesRowModeAtEveryBatchWidth) {
+  DatagenConfig config;
+  config.scale_factor = 1.0;
+  config.lineorders_per_sf = 2000;
+  config.seed = 23;
+  config.num_freshness_tables = 1;
+  const Dataset dataset = GenerateDataset(config);
+  SharedEngine shared;
+  IsolatedEngine isolated;
+  struct { const char* label; HtapEngine* engine; } engines[] = {
+      {"shared", &shared}, {"isolated", &isolated}};
+  for (const auto& e : engines) {
+    ASSERT_TRUE(
+        LoadDataset(dataset, PhysicalSchema::kAllIndexes, e.engine).ok());
+    WorkMeter session_meter;
+    AnalyticsSession session = e.engine->BeginAnalytics(&session_meter);
+    // New orders committed (and, on the standby, replayed) after the
+    // session's snapshot: index entries the snapshot cannot see.
+    WorkloadContext workload(dataset);
+    const EngineHandles handles =
+        EngineHandles::Resolve(*e.engine->primary_catalog(), 1);
+    Rng rng(5);
+    for (uint64_t txn = 1; txn <= 400; ++txn) {
+      const TxnParams params = GenerateTxnParams(&workload, &rng);
+      WorkMeter meter;
+      e.engine->ExecuteTransaction(MakeTxnBody(params, handles, 1, txn), 1,
+                                   txn, &meter);
+    }
+    WorkMeter replay;
+    while (e.engine->MaintenanceStep(&replay)) {
+    }
+    // Q1.1's range (1993) holds index entries beyond the loaded rows.
+    size_t loaded_1993 = 0;
+    for (const Row& row : dataset.lineorder) {
+      const int64_t date = row[lo::kOrderDate].AsInt();
+      if (date >= 19930101 && date <= 19931231) ++loaded_1993;
+    }
+    size_t indexed_1993 = 0;
+    std::string lo_key;
+    std::string hi_key;
+    key::EncodeInt64(19930101, &lo_key);
+    key::EncodeInt64(19931232, &hi_key);
+    e.engine->primary_catalog()->GetIndex("lineorder_orderdate")->tree
+        ->ScanRange(lo_key, hi_key,
+                    [&](const std::string&, uint64_t) {
+                      ++indexed_1993;
+                      return true;
+                    },
+                    nullptr);
+    ASSERT_GT(indexed_1993, loaded_1993) << e.label;
+
+    for (int qid = 0; qid < 3; ++qid) {
+      const auto run = [&](bool vectorized, size_t batch_rows,
+                           obs::PlanProfile* profile, WorkMeter* meter) {
+        ExecContext ctx;
+        ctx.meter = meter;
+        ctx.vectorized = vectorized;
+        ctx.batch_rows = batch_rows;
+        ctx.profile = profile;
+        return RunQuery(qid, *session.source, 1, &ctx);
+      };
+      obs::PlanProfile row_profile;
+      WorkMeter row_meter;
+      const QueryResult row =
+          run(/*vectorized=*/false, kDefaultBatchRows, &row_profile,
+              &row_meter);
+      for (const size_t width : {size_t{1}, size_t{7}, size_t{1024}}) {
+        const std::string where = std::string(e.label) + "/" +
+                                  QueryName(qid) + "/batch=" +
+                                  std::to_string(width);
+        obs::PlanProfile profile;
+        WorkMeter meter;
+        const QueryResult batch = run(/*vectorized=*/true, width, &profile,
+                                      &meter);
+        EXPECT_EQ(batch.rows, row.rows) << where;
+        EXPECT_EQ(batch.checksum, row.checksum) << where;
+        EXPECT_EQ(batch.freshness, row.freshness) << where;
+        EXPECT_EQ(meter.ToString(), row_meter.ToString()) << where;
+        ASSERT_EQ(profile.size(), row_profile.size()) << where;
+        bool found_index_scan = false;
+        for (size_t i = 0; i < profile.size(); ++i) {
+          const obs::PlanProfileNode& r = row_profile.node(i);
+          const obs::PlanProfileNode& b = profile.node(i);
+          const std::string node = where + " node " + r.name;
+          EXPECT_EQ(b.name, r.name) << node;
+          EXPECT_EQ(b.detail, r.detail) << node;
+          EXPECT_EQ(b.parent, r.parent) << node;
+          EXPECT_EQ(b.children, r.children) << node;
+          EXPECT_EQ(b.opens, r.opens) << node;
+          EXPECT_EQ(b.rows_out, r.rows_out) << node;
+          EXPECT_EQ(b.phys_rows, r.phys_rows) << node;
+          EXPECT_EQ(b.blocks_scanned, r.blocks_scanned) << node;
+          EXPECT_EQ(b.blocks_pruned, r.blocks_pruned) << node;
+          EXPECT_EQ(b.rows_clean, r.rows_clean) << node;
+          EXPECT_EQ(b.rows_override, r.rows_override) << node;
+          EXPECT_EQ(b.rows_insert, r.rows_insert) << node;
+          EXPECT_EQ(b.work_units, r.work_units) << node;
+          EXPECT_EQ(b.open_seconds, r.open_seconds) << node;
+          EXPECT_EQ(b.next_seconds, r.next_seconds) << node;
+          EXPECT_EQ(b.first_ts, r.first_ts) << node;
+          EXPECT_EQ(b.last_ts, r.last_ts) << node;
+          EXPECT_EQ(b.has_ts, r.has_ts) << node;
+          if (r.name != "IndexScan") {
+            EXPECT_EQ(b.calls, r.calls) << node;
+            continue;
+          }
+          found_index_scan = true;
+          const uint64_t full_batches = (r.rows_out + width - 1) / width;
+          EXPECT_EQ(b.batches, full_batches) << node;
+          EXPECT_EQ(b.calls, full_batches + 1) << node;
+        }
+        EXPECT_TRUE(found_index_scan) << where;
+      }
+    }
   }
 }
 

@@ -1,6 +1,7 @@
 // Tests for the MVCC row store: version visibility, snapshot isolation of
-// reads, deletes, vacuum, seal and rewind, the zero-copy heap scan
-// (differential against per-rid reads, plus a concurrent vacuum stress),
+// reads, deletes, vacuum, seal and rewind, the zero-copy heap scan and
+// rid visits (differential against per-rid reads for every head kind,
+// plus a concurrent vacuum stress),
 // and fold memos (differential against a naive resolver, plus a
 // concurrent memo/vacuum stress).
 
@@ -8,6 +9,7 @@
 #include <atomic>
 #include <iterator>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -653,6 +655,159 @@ TEST(RowTableTest, SealRewindRestoresLoadState) {
     EXPECT_EQ(got_scan.version_hops, want_scan.version_hops);
     EXPECT_EQ(got_scan.rows_read, want_scan.rows_read);
   }
+}
+
+// ScanRange resolves a committed full head at or below the snapshot
+// inline and hands every other head to mvcc::ResolveVisible; VisitRids
+// resolves each rid like Read without the copy. One single-row table per
+// head kind: at every snapshot the scan must yield Read's row bit for
+// bit, rows_read like Read and version_hops equal to the chain length,
+// and VisitRids must meter exactly like Read over the same rids (an
+// out-of-range rid charges nothing).
+TEST(RowTableScanTest, HeadKindsScanAndVisitLikeRead) {
+  const int own = 0;
+  const int foreign = 0;
+  struct Case {
+    const char* name;
+    std::function<void(RowTable*)> build;
+  };
+  const Case cases[] = {
+      {"committed full at or below the snapshot",
+       [](RowTable* t) {
+         t->Insert(Row{int64_t{1}, 1.5, int64_t{7}}, 2, nullptr);
+       }},
+      {"committed full above the snapshot",
+       [](RowTable* t) {
+         t->Insert(Row{int64_t{1}, 1.5, int64_t{7}}, 2, nullptr);
+         ASSERT_TRUE(
+             t->AddVersion(0, Row{int64_t{1}, 2.5, int64_t{8}}, 12, nullptr)
+                 .ok());
+       }},
+      {"own pending full",
+       [&](RowTable* t) {
+         t->Insert(Row{int64_t{1}, 1.5, int64_t{7}}, 2, nullptr);
+         ASSERT_NE(t->TryInstallFull(0, Row{int64_t{1}, -1.0, int64_t{0}},
+                                     &own, 2, nullptr),
+                   nullptr);
+       }},
+      {"foreign pending delta above own pending delta",
+       [&](RowTable* t) {
+         t->Insert(Row{int64_t{1}, 1.5, int64_t{7}}, 2, nullptr);
+         ASSERT_NE(t->TryInstallDelta(0, 1, Value(0.5), &own, nullptr),
+                   nullptr);
+         ASSERT_NE(t->TryInstallDelta(0, 1, Value(0.25), &foreign, nullptr),
+                   nullptr);
+       }},
+      {"aborted full",
+       [&](RowTable* t) {
+         t->Insert(Row{int64_t{1}, 1.5, int64_t{7}}, 2, nullptr);
+         mvcc::VersionNode* node = t->TryInstallFull(
+             0, Row{int64_t{1}, -1.0, int64_t{0}}, &own, 2, nullptr);
+         ASSERT_NE(node, nullptr);
+         mvcc::Withdraw(node);
+       }},
+      {"deltas without a memo",
+       [](RowTable* t) {
+         t->Insert(Row{int64_t{1}, 0.1, int64_t{7}}, 2, nullptr);
+         for (const Ts cts : {Ts{9}, Ts{4}, Ts{14}}) {
+           ASSERT_TRUE(t->AddDeltaVersion(0, 1, Value(0.1 * cts), cts,
+                                          nullptr)
+                           .ok());
+         }
+       }},
+      {"deltas under a memo",
+       [](RowTable* t) {
+         t->Insert(Row{int64_t{1}, 0.1, int64_t{7}}, 2, nullptr);
+         for (Ts cts = 3; cts < 3 + 2 * mvcc::kMemoMinDeltas; ++cts) {
+           ASSERT_TRUE(t->AddDeltaVersion(0, 1, Value(0.1 * cts), cts,
+                                          nullptr)
+                           .ok());
+         }
+         Row row;
+         ASSERT_TRUE(t->ReadLatest(0, &row, nullptr));  // attaches the memo
+         ASSERT_TRUE(t->AddDeltaVersion(0, 2, Value(int64_t{3}), 40, nullptr)
+                         .ok());
+       }},
+      {"load version alone after Rewind",
+       [&](RowTable* t) {
+         t->Insert(Row{int64_t{1}, 1.5, int64_t{7}}, 2, nullptr);
+         t->Seal();
+         ASSERT_TRUE(
+             t->AddVersion(0, Row{int64_t{1}, 2.5, int64_t{8}}, 5, nullptr)
+                 .ok());
+         ASSERT_TRUE(t->AddDeltaVersion(0, 1, Value(1.0), 6, nullptr).ok());
+         t->Insert(Row{int64_t{2}, 3.5, int64_t{9}}, 6, nullptr);
+         t->Rewind();
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    RowTable table(DeltaCols());
+    c.build(&table);
+    ASSERT_EQ(table.NumSlots(), 1u);
+    const size_t chain_length = table.NumVersions();
+    for (const Ts snapshot : {Ts{0}, Ts{1}, Ts{2}, Ts{5}, Ts{9}, Ts{12},
+                              Ts{20}, Ts{50}, kMaxTs - 1, kMaxTs}) {
+      SCOPED_TRACE("snapshot=" + std::to_string(snapshot));
+      Row want;
+      WorkMeter read_meter;
+      const bool visible = table.Read(0, snapshot, &want, &read_meter);
+
+      std::vector<Row> scanned;
+      WorkMeter scan_meter;
+      table.ScanRange(snapshot, 0, kMaxTs,
+                      [&](Rid rid, const Row& row) {
+                        EXPECT_EQ(rid, 0u);
+                        scanned.push_back(row);
+                        return true;
+                      },
+                      &scan_meter);
+      ASSERT_EQ(scanned.size(), visible ? 1u : 0u);
+      if (visible) ExpectSameBits(scanned[0], want);
+      EXPECT_EQ(scan_meter.rows_read, read_meter.rows_read);
+      EXPECT_EQ(scan_meter.version_hops, chain_length);
+      EXPECT_EQ(scan_meter.Total(),
+                read_meter.rows_read + scan_meter.version_hops);
+
+      const Rid rids[] = {0, 1, 0};
+      std::vector<Row> visited;
+      WorkMeter visit_meter;
+      const size_t consumed = table.VisitRids(
+          snapshot, rids,
+          [&](Rid rid, const Row& row) {
+            EXPECT_EQ(rid, 0u);
+            visited.push_back(row);
+            return true;
+          },
+          &visit_meter);
+      EXPECT_EQ(consumed, 3u);
+      ASSERT_EQ(visited.size(), visible ? 2u : 0u);
+      for (const Row& row : visited) ExpectSameBits(row, want);
+      EXPECT_EQ(visit_meter.rows_read, 2 * read_meter.rows_read);
+      EXPECT_EQ(visit_meter.version_hops, 2 * read_meter.version_hops);
+      EXPECT_EQ(visit_meter.Total(), 2 * read_meter.Total());
+    }
+  }
+}
+
+// VisitRids stops after the rid whose visit returns false and reports
+// how many rids it consumed, invisible ones included.
+TEST(RowTableScanTest, VisitRidsStopsAfterTheRejectingVisit) {
+  RowTable table(ThreeCol());
+  for (int i = 0; i < 6; ++i) {
+    table.Insert(Wide(i, i, "r"), i == 1 ? 9 : 1, nullptr);
+  }
+  const Rid rids[] = {5, 1, 3, 0, 2};
+  std::vector<Rid> visited;
+  const size_t consumed = table.VisitRids(
+      5, rids,
+      [&](Rid rid, const Row&) {
+        visited.push_back(rid);
+        return visited.size() < 2;
+      },
+      nullptr);
+  EXPECT_EQ(consumed, 3u);
+  EXPECT_EQ(visited, (std::vector<Rid>{5, 3}));
 }
 
 class FoldMemoOracleTest : public ::testing::TestWithParam<int> {};
